@@ -19,13 +19,12 @@
 // because a base pointer would dangle once a rebuild retires its
 // version).
 //
-// Writers serialize on one mutex (contention is counted), append to the
-// log, and publish the new count with a release store. A full log is
-// *frozen*: folded into the sorted overlay, republished as a new version,
-// the old one retired to the epoch manager.
+// Writers serialize on the writer mutex, append to the log, and fold a
+// full log into the sorted overlay as a new version — the publish/retire
+// protocol of concurrent/versioned.h, shared by every concurrent class.
 //
-// Rehash/resize runs on a background worker so no caller ever pays the
-// table rebuild inline:
+// Rehash/resize runs on a background worker (concurrent/worker.h) so no
+// caller ever pays the table rebuild inline:
 //   1. rotate: fold any pending log so the overlay to fold is a frozen,
 //      immutable snapshot; record the snapshot sequence number (brief
 //      writer lock);
@@ -57,20 +56,19 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/timer.h"
 #include "concurrent/epoch.h"
+#include "concurrent/versioned.h"
+#include "concurrent/worker.h"
 #include "hash/record.h"
 #include "index/concurrent_point_index.h"
 #include "index/concurrent_writable_index.h"
@@ -167,21 +165,21 @@ class ConcurrentPointIndex {
   /// into a fresh base table. Blocks the caller only; readers stay
   /// lock-free.
   Status Rebuild() {
-    return impl_ ? impl_->Rebuild()
+    return impl_ ? impl_->worker_.Run()
                  : Status::FailedPrecondition(
                        "ConcurrentPointIndex: not built");
   }
   /// Asynchronous rebuild trigger; coalesces with a pending request.
   void RequestRebuild() {
-    if (impl_ != nullptr) impl_->RequestRebuild();
+    if (impl_ != nullptr) impl_->worker_.Request();
   }
   /// Blocks until no rebuild is pending or running (the quiesce point).
   void WaitForRebuilds() {
-    if (impl_ != nullptr) impl_->WaitForRebuilds();
+    if (impl_ != nullptr) impl_->worker_.Wait();
   }
   /// Outcome of the most recent background rebuild cycle.
   Status last_rebuild_status() const {
-    return impl_ ? impl_->last_rebuild_status() : Status::OK();
+    return impl_ ? impl_->worker_.last_status() : Status::OK();
   }
 
   const Config& config() const {
@@ -202,33 +200,17 @@ class ConcurrentPointIndex {
   };
 
   struct State {
+    explicit State(size_t cap)
+        : log(std::make_unique<OvEntry[]>(cap)), log_cap(cap) {}
     std::shared_ptr<const std::vector<hash::Record>> base_records;
     std::shared_ptr<const Base> base;  // built over *base_records
     std::vector<OvEntry> frozen;       // sorted by key, one entry per key
     std::unique_ptr<OvEntry[]> log;
-    size_t log_cap = 0;
+    size_t log_cap;
     std::atomic<uint32_t> log_count{0};
   };
 
-  struct alignas(64) ReadStripe {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> overlay_hits{0};
-  };
-  static constexpr size_t kStripes = 16;
-
   struct Impl {
-    ~Impl() {
-      {
-        std::lock_guard<std::mutex> lk(rebuild_mu_);
-        shutdown_ = true;
-      }
-      rebuild_cv_.notify_all();
-      if (worker_.joinable()) worker_.join();
-      delete state_.load(std::memory_order_relaxed);
-      EpochManager::Free(deferred_free_);
-      // epoch_ frees everything still on its retired list.
-    }
-
     Status Build(std::span<const hash::Record> records, const Config& config) {
       config_ = config;
       config_.log_cap = std::max<size_t>(config.log_cap, 2);
@@ -260,28 +242,26 @@ class ConcurrentPointIndex {
       }
       live_count_.store(static_cast<int64_t>(br->size()),
                         std::memory_order_relaxed);
-      State* s = new State;
+      auto s = std::make_unique<State>(config_.log_cap);
       s->base_records = std::move(br);
       s->base = std::move(base);
-      s->log = std::make_unique<OvEntry[]>(config_.log_cap);
-      s->log_cap = config_.log_cap;
-      state_.store(s, std::memory_order_seq_cst);
-      worker_ = std::thread([this] { WorkerLoop(); });
+      versions_.Install(std::move(s));
+      worker_.Start([this] { return DoBackgroundRebuild(); });
       return Status::OK();
     }
 
     // ---- read path ----
 
     bool Find(uint64_t key, hash::Record* out) const {
-      ReadStripe& stripe = Stripe();
+      auto& stripe = versions_.Stripe();
       stripe.lookups.fetch_add(1, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
+      EpochManager::Guard g(versions_.epoch());
+      const State* s = versions_.Load();
       if (s == nullptr) return false;
       const uint32_t n = s->log_count.load(std::memory_order_acquire);
       const int ov = OverlayFind(*s, n, key, out);
       if (ov >= 0) {
-        stripe.overlay_hits.fetch_add(1, std::memory_order_relaxed);
+        stripe.hits.fetch_add(1, std::memory_order_relaxed);
         return ov == 1;
       }
       const hash::Record* r = s->base->Find(key);
@@ -294,10 +274,10 @@ class ConcurrentPointIndex {
                    std::span<hash::Record> recs,
                    std::span<uint8_t> found) const {
       const size_t m = std::min({keys.size(), recs.size(), found.size()});
-      ReadStripe& stripe = Stripe();
+      auto& stripe = versions_.Stripe();
       stripe.lookups.fetch_add(m, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
+      EpochManager::Guard g(versions_.epoch());
+      const State* s = versions_.Load();
       if (s == nullptr) {
         for (size_t i = 0; i < m; ++i) found[i] = 0;
         return;
@@ -321,7 +301,7 @@ class ConcurrentPointIndex {
           hash::Record tmp;
           const int ov = OverlayFind(*s, n, keys[beg + i], &tmp);
           if (ov >= 0) {
-            stripe.overlay_hits.fetch_add(1, std::memory_order_relaxed);
+            stripe.hits.fetch_add(1, std::memory_order_relaxed);
             found[beg + i] = ov == 1 ? 1 : 0;
             if (ov == 1) recs[beg + i] = tmp;
           } else if (ptrs[i] != nullptr) {
@@ -340,8 +320,8 @@ class ConcurrentPointIndex {
     }
 
     size_t SizeBytes() const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
+      EpochManager::Guard g(versions_.epoch());
+      const State* s = versions_.Load();
       if (s == nullptr) return 0;
       return s->base->SizeBytes() +
              s->base_records->size() * sizeof(hash::Record) +
@@ -350,20 +330,15 @@ class ConcurrentPointIndex {
     }
 
     index::PointIndexStats Stats() const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
+      EpochManager::Guard g(versions_.epoch());
+      const State* s = versions_.Load();
       return s != nullptr ? s->base->Stats() : index::PointIndexStats{};
     }
 
     index::ConcurrentIndexStats ConcurrentStats() const {
       index::ConcurrentIndexStats cs;
-      uint64_t lookups = 0, hits = 0;
-      for (const ReadStripe& r : read_stripes_) {
-        lookups += r.lookups.load(std::memory_order_relaxed);
-        hits += r.overlay_hits.load(std::memory_order_relaxed);
-      }
-      cs.lookups = lookups;
-      cs.delta_hits = hits;
+      versions_.ReadCountsInto(cs);
+      versions_.VersionCountsInto(cs);
       cs.inserts = inserts_.load(std::memory_order_relaxed);
       cs.erases = erases_.load(std::memory_order_relaxed);
       cs.merges = rebuilds_.load(std::memory_order_relaxed);
@@ -374,16 +349,9 @@ class ConcurrentPointIndex {
       cs.total_merge_ns = static_cast<double>(
           total_rebuild_ns_.load(std::memory_order_relaxed));
       cs.freezes = freezes_.load(std::memory_order_relaxed);
-      cs.writer_contended =
-          writer_contended_.load(std::memory_order_relaxed);
-      cs.states_published =
-          states_published_.load(std::memory_order_relaxed);
-      cs.states_retired = epoch_.retired_count();
-      cs.states_reclaimed = epoch_.reclaimed_count();
-      cs.epoch_fallback_pins = epoch_.fallback_pins();
       {
-        EpochManager::Guard g(epoch_);
-        const State* s = state_.load(std::memory_order_seq_cst);
+        EpochManager::Guard g(versions_.epoch());
+        const State* s = versions_.Load();
         if (s != nullptr) {
           const uint32_t n = s->log_count.load(std::memory_order_acquire);
           cs.log_entries = n;
@@ -399,24 +367,14 @@ class ConcurrentPointIndex {
     // ---- write path ----
 
     bool Write(const hash::Record& rec, WriteKind kind) {
-      std::unique_lock<std::mutex> lk(write_mu_, std::try_to_lock);
-      if (!lk.owns_lock()) {
-        writer_contended_.fetch_add(1, std::memory_order_relaxed);
-        lk.lock();
-      }
-      State* s = state_.load(std::memory_order_relaxed);
+      const auto lk = versions_.LockForWrite();
+      State* s = versions_.Current();
       uint32_t n = s->log_count.load(std::memory_order_relaxed);
       const bool live = LiveLocked(*s, n, rec.key);
       // No-op writes return without consuming log space: a first-wins
       // insert of a live key, or the erase of an absent one.
-      if (kind == WriteKind::kInsert && live) {
-        DrainDeferredFrees(lk);
-        return false;
-      }
-      if (kind == WriteKind::kErase && !live) {
-        DrainDeferredFrees(lk);
-        return false;
-      }
+      if (kind == WriteKind::kInsert && live) return false;
+      if (kind == WriteKind::kErase && !live) return false;
       if (n == s->log_cap) {
         s = FreezeLocked(s, n);
         n = 0;
@@ -435,51 +393,13 @@ class ConcurrentPointIndex {
       }
       if (config_.rebuild_entries != 0 &&
           s->frozen.size() + n + 1 >= config_.rebuild_entries) {
-        RequestRebuild();
+        worker_.Request();
       }
-      const bool changed = e.tombstone ? true : !live;
-      DrainDeferredFrees(lk);  // heavy frees happen outside the lock
-      return changed;
-    }
-
-    // ---- rebuild control ----
-
-    void RequestRebuild() {
-      {
-        std::lock_guard<std::mutex> lk(rebuild_mu_);
-        rebuild_requested_ = true;
-      }
-      rebuild_cv_.notify_one();
-    }
-
-    Status Rebuild() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      rebuild_requested_ = true;
-      rebuild_cv_.notify_one();
-      const uint64_t start = rebuild_cycles_;
-      rebuild_done_cv_.wait(lk, [&] {
-        return rebuild_cycles_ > start && !rebuild_requested_ &&
-               !rebuild_running_;
-      });
-      return last_rebuild_status_;
-    }
-
-    void WaitForRebuilds() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      rebuild_done_cv_.wait(
-          lk, [&] { return !rebuild_requested_ && !rebuild_running_; });
-    }
-
-    Status last_rebuild_status() const {
-      std::lock_guard<std::mutex> lk(rebuild_mu_);
-      return last_rebuild_status_;
+      // Reclaimed versions are freed as `lk` drops, outside the lock.
+      return e.tombstone ? true : !live;
     }
 
     // ---- internals ----
-
-    ReadStripe& Stripe() const {
-      return read_stripes_[ThisThreadIndex() % kStripes];
-    }
 
     /// Overlay verdict for `key`: 1 = live (record copied into *out),
     /// 0 = tombstoned, -1 = not in the overlay (consult the base).
@@ -555,30 +475,12 @@ class ConcurrentPointIndex {
     /// result as a new version (same base). Caller holds the writer
     /// mutex. Returns the published version.
     State* FreezeLocked(State* s, uint32_t n) {
-      State* ns = new State;
+      auto ns = std::make_unique<State>(config_.log_cap);
       ns->base_records = s->base_records;
       ns->base = s->base;
       ns->frozen = FoldedOverlay(*s, n);
-      ns->log = std::make_unique<OvEntry[]>(config_.log_cap);
-      ns->log_cap = config_.log_cap;
-      PublishLocked(ns, s);
       freezes_.fetch_add(1, std::memory_order_relaxed);
-      return ns;
-    }
-
-    void PublishLocked(State* fresh, State* old) {
-      state_.store(fresh, std::memory_order_seq_cst);
-      states_published_.fetch_add(1, std::memory_order_relaxed);
-      epoch_.Retire(old);
-      epoch_.ReclaimTo(deferred_free_);
-    }
-
-    void DrainDeferredFrees(std::unique_lock<std::mutex>& lk) {
-      if (deferred_free_.empty()) return;
-      std::vector<EpochManager::Retired> batch;
-      batch.swap(deferred_free_);
-      lk.unlock();
-      EpochManager::Free(batch);
+      return versions_.PublishLocked(std::move(ns), s);
     }
 
     typename Base::config_type ScaledBaseConfig(size_t num_records) const {
@@ -626,18 +528,14 @@ class ConcurrentPointIndex {
       {
         // Phase 1 — rotate: fold any pending log so the overlay to bake
         // in is an immutable snapshot (O(overlay), brief).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
+        const auto lk = versions_.Lock();
+        State* s = versions_.Current();
         const uint32_t n = s->log_count.load(std::memory_order_relaxed);
         if (n > 0) s = FreezeLocked(s, n);
-        if (s->frozen.empty()) {
-          DrainDeferredFrees(lk);
-          return Status::OK();
-        }
+        if (s->frozen.empty()) return Status::OK();
         snapshot = s->frozen;
         old_records = s->base_records;
         snapshot_seq = seq_last_;
-        DrainDeferredFrees(lk);
       }
       // Phase 2 — build off to the side: no locks, readers undisturbed.
       // Kick-chains, probe placement, model training — everything runs
@@ -668,8 +566,8 @@ class ConcurrentPointIndex {
       {
         // Phase 3 — publish: keep only overlay entries written after the
         // snapshot (the new table reflects everything at or before it).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
+        const auto lk = versions_.Lock();
+        State* s = versions_.Current();
         const uint32_t n = s->log_count.load(std::memory_order_relaxed);
         std::vector<OvEntry> folded = FoldedOverlay(*s, n);
         std::vector<OvEntry> rebased;
@@ -677,17 +575,14 @@ class ConcurrentPointIndex {
         for (const OvEntry& e : folded) {
           if (e.seq > snapshot_seq) rebased.push_back(e);
         }
-        State* ns = new State;
+        auto ns = std::make_unique<State>(config_.log_cap);
         ns->base_records = std::move(merged);
         ns->base = std::move(new_base);
         ns->frozen = std::move(rebased);
-        ns->log = std::make_unique<OvEntry[]>(config_.log_cap);
-        ns->log_cap = config_.log_cap;
         merged_records_.fetch_add(ns->base_records->size(),
                                   std::memory_order_relaxed);
-        PublishLocked(ns, s);
+        versions_.PublishLocked(std::move(ns), s);
         rebuilds_.fetch_add(1, std::memory_order_relaxed);
-        DrainDeferredFrees(lk);
       }
       const uint64_t ns_elapsed =
           static_cast<uint64_t>(timer.ElapsedNanos());
@@ -696,56 +591,23 @@ class ConcurrentPointIndex {
       return Status::OK();
     }
 
-    void WorkerLoop() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      for (;;) {
-        rebuild_cv_.wait(lk, [&] { return rebuild_requested_ || shutdown_; });
-        if (shutdown_) return;  // pending work dropped; overlay stays valid
-        rebuild_requested_ = false;
-        rebuild_running_ = true;
-        lk.unlock();
-        const Status st = DoBackgroundRebuild();
-        lk.lock();
-        rebuild_running_ = false;
-        last_rebuild_status_ = st;
-        ++rebuild_cycles_;
-        rebuild_done_cv_.notify_all();
-      }
-    }
-
     Config config_{};
-    std::atomic<State*> state_{nullptr};
-    mutable std::mutex write_mu_;
-    mutable EpochManager epoch_;
+    Versioned<State> versions_;
     std::atomic<int64_t> live_count_{0};
     double slots_per_record_ = 0.0;  // 0 = base auto-sizes its table
     uint64_t seq_last_ = 0;          // writer-mutex holders only
-    // Reclaimed-but-not-freed versions (mutated under write_mu_ only;
-    // drained outside it).
-    std::vector<EpochManager::Retired> deferred_free_;
 
-    // Rebuild worker machinery.
-    std::thread worker_;
-    mutable std::mutex rebuild_mu_;
-    std::condition_variable rebuild_cv_;
-    std::condition_variable rebuild_done_cv_;
-    bool rebuild_requested_ = false;
-    bool rebuild_running_ = false;
-    bool shutdown_ = false;
-    uint64_t rebuild_cycles_ = 0;
-    Status last_rebuild_status_{};
-
-    // Counters. Read stripes keep reader increments off one shared line.
-    mutable ReadStripe read_stripes_[kStripes];
     std::atomic<uint64_t> inserts_{0};
     std::atomic<uint64_t> erases_{0};
     std::atomic<uint64_t> rebuilds_{0};
     std::atomic<uint64_t> merged_records_{0};
     std::atomic<uint64_t> freezes_{0};
-    std::atomic<uint64_t> writer_contended_{0};
-    std::atomic<uint64_t> states_published_{0};
     std::atomic<uint64_t> last_rebuild_ns_{0};
     std::atomic<uint64_t> total_rebuild_ns_{0};
+
+    // Last: joined before the members DoBackgroundRebuild uses are
+    // destroyed.
+    Worker worker_;
   };
 
   std::unique_ptr<Impl> impl_;

@@ -8,7 +8,7 @@
 //           , frozen delta                   (sorted runs + rank prefix sums)
 //           , write log                      (append-only, bounded) }
 //
-// Readers pin an epoch (concurrent/epoch.h), load the current version
+// Readers pin an epoch, load the current version (concurrent/versioned.h)
 // with one atomic load, and answer from base + frozen + log-prefix with
 // no locks: rank = base.Lookup + frozen.RankAdjustBelow + Σ log nets.
 // Each log entry carries its *liveness delta* (net ∈ {-1,0,+1}) computed
@@ -22,8 +22,8 @@
 // folded into the sorted delta, republished as a new version, the old one
 // retired to the epoch manager.
 //
-// Merges run on a background worker so no caller ever pays the
-// merge+retrain latency inline:
+// Merges run on a background worker (concurrent/worker.h) so no caller
+// ever pays the merge+retrain latency inline:
 //   1. rotate: fold any pending log so the delta to merge is a frozen,
 //      immutable snapshot (brief writer lock);
 //   2. build: merge base ∪ delta into a fresh key array and train a new
@@ -54,16 +54,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <span>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -71,6 +68,8 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "concurrent/epoch.h"
+#include "concurrent/versioned.h"
+#include "concurrent/worker.h"
 #include "dynamic/delta_buffer.h"
 #include "dynamic/merge_policy.h"
 #include "index/approx.h"
@@ -157,21 +156,21 @@ class ConcurrentWritableIndex {
   /// Synchronous merge cycle: folds everything written before the call
   /// into the base. Blocks the caller only; readers stay lock-free.
   Status Merge() {
-    return impl_ ? impl_->Merge()
+    return impl_ ? impl_->worker_.Run()
                  : Status::FailedPrecondition(
                        "ConcurrentWritableIndex: not built");
   }
   /// Asynchronous merge trigger; coalesces with a pending request.
   void RequestMerge() {
-    if (impl_ != nullptr) impl_->RequestMerge();
+    if (impl_ != nullptr) impl_->worker_.Request();
   }
   /// Blocks until no merge is pending or running (the quiesce point).
   void WaitForMerges() {
-    if (impl_ != nullptr) impl_->WaitForMerges();
+    if (impl_ != nullptr) impl_->worker_.Wait();
   }
   /// Outcome of the most recent background merge cycle.
   Status last_merge_status() const {
-    return impl_ ? impl_->last_merge_status() : Status::OK();
+    return impl_ ? impl_->worker_.last_status() : Status::OK();
   }
 
   // ---- Durability (index::DurableIndex; docs/DURABILITY.md) ----
@@ -291,34 +290,17 @@ class ConcurrentWritableIndex {
   /// writer mutex; everything a reader dereferences is behind the
   /// release-store of `log_count` or was published with the version.
   struct State {
+    explicit State(size_t cap)
+        : log(std::make_unique<LogEntry[]>(cap)), log_cap(cap) {}
     std::shared_ptr<const std::vector<key_type>> base_keys;
     std::shared_ptr<const Base> base;  // spans *base_keys
     dynamic::DeltaBuffer<key_type> frozen;
     std::unique_ptr<LogEntry[]> log;
-    size_t log_cap = 0;
+    size_t log_cap;
     std::atomic<uint32_t> log_count{0};
   };
 
-  struct alignas(64) ReadStripe {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> contains{0};
-    std::atomic<uint64_t> delta_hits{0};
-  };
-  static constexpr size_t kStripes = 16;
-
   struct Impl {
-    ~Impl() {
-      {
-        std::lock_guard<std::mutex> lk(merge_mu_);
-        shutdown_ = true;
-      }
-      merge_cv_.notify_all();
-      if (worker_.joinable()) worker_.join();
-      delete state_.load(std::memory_order_relaxed);
-      EpochManager::Free(deferred_free_);  // collected but not yet freed
-      // epoch_ frees everything still on its retired list.
-    }
-
     Status Build(std::span<const key_type> keys, const Config& config) {
       config_ = config;
       config_.log_cap = std::max<size_t>(config.log_cap, 2);
@@ -327,32 +309,30 @@ class ConcurrentWritableIndex {
       auto base = std::make_shared<Base>();
       LI_RETURN_IF_ERROR(
           base->Build(std::span<const key_type>(*bk), config_.base));
-      State* s = new State;
+      auto s = std::make_unique<State>(config_.log_cap);
       s->base_keys = std::move(bk);
       s->base = std::move(base);
-      s->log = std::make_unique<LogEntry[]>(config_.log_cap);
-      s->log_cap = config_.log_cap;
-      state_.store(s, std::memory_order_seq_cst);
+      versions_.Install(std::move(s));
       live_count_.store(static_cast<int64_t>(keys.size()),
                         std::memory_order_relaxed);
-      worker_ = std::thread([this] { WorkerLoop(); });
+      worker_.Start([this] { return DoBackgroundMerge(); });
       return Status::OK();
     }
 
     // ---- read path ----
 
     size_t Lookup(const key_type& key) const {
-      Stripe().lookups.fetch_add(1, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
+      versions_.Stripe().lookups.fetch_add(1, std::memory_order_relaxed);
+      EpochManager::Guard g(versions_.epoch());
+      const State* s = versions_.Load();
       if (s == nullptr) return 0;
       return RawLookupIn(*s, s->log_count.load(std::memory_order_acquire),
                          key);
     }
 
     index::Approx ApproxPos(const key_type& key) const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
+      EpochManager::Guard g(versions_.epoch());
+      const State* s = versions_.Load();
       if (s == nullptr) return index::Approx{};
       const uint32_t n = s->log_count.load(std::memory_order_acquire);
       const size_t pos = RawLookupIn(*s, n, key);
@@ -362,9 +342,9 @@ class ConcurrentWritableIndex {
     void LookupBatch(std::span<const key_type> keys,
                      std::span<size_t> out) const {
       const size_t m = std::min(keys.size(), out.size());
-      Stripe().lookups.fetch_add(m, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
+      versions_.Stripe().lookups.fetch_add(m, std::memory_order_relaxed);
+      EpochManager::Guard g(versions_.epoch());
+      const State* s = versions_.Load();
       if (s == nullptr) {
         for (size_t i = 0; i < m; ++i) out[i] = 0;
         return;
@@ -386,22 +366,22 @@ class ConcurrentWritableIndex {
     }
 
     bool Contains(const key_type& key) const {
-      ReadStripe& st = Stripe();
+      auto& st = versions_.Stripe();
       st.lookups.fetch_add(1, std::memory_order_relaxed);
       st.contains.fetch_add(1, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
+      EpochManager::Guard g(versions_.epoch());
+      const State* s = versions_.Load();
       if (s == nullptr) return false;
       const uint32_t n = s->log_count.load(std::memory_order_acquire);
       const LogEntry* log = s->log.get();
       for (uint32_t i = n; i-- > 0;) {  // newest write wins
         if (log[i].key == key) {
-          st.delta_hits.fetch_add(1, std::memory_order_relaxed);
+          st.hits.fetch_add(1, std::memory_order_relaxed);
           return !log[i].tombstone;
         }
       }
       if (const auto e = s->frozen.Find(key)) {
-        st.delta_hits.fetch_add(1, std::memory_order_relaxed);
+        st.hits.fetch_add(1, std::memory_order_relaxed);
         return !e->tombstone;
       }
       return BaseContainsIn(*s, key);
@@ -410,8 +390,8 @@ class ConcurrentWritableIndex {
     std::vector<key_type> Scan(const key_type& from, size_t limit) const {
       std::vector<key_type> out;
       if (limit == 0) return out;
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
+      EpochManager::Guard g(versions_.epoch());
+      const State* s = versions_.Load();
       if (s == nullptr) return out;
       const uint32_t n = s->log_count.load(std::memory_order_acquire);
       const LogEntry* log = s->log.get();
@@ -482,8 +462,8 @@ class ConcurrentWritableIndex {
     }
 
     size_t SizeBytes() const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
+      EpochManager::Guard g(versions_.epoch());
+      const State* s = versions_.Load();
       if (s == nullptr) return 0;
       return s->base->SizeBytes() + s->frozen.SizeBytes() +
              s->log_cap * sizeof(LogEntry);
@@ -492,18 +472,14 @@ class ConcurrentWritableIndex {
     // ---- write path ----
 
     bool Write(const key_type& key, bool tombstone) {
-      std::unique_lock<std::mutex> lk(write_mu_, std::try_to_lock);
-      if (!lk.owns_lock()) {
-        writer_contended_.fetch_add(1, std::memory_order_relaxed);
-        lk.lock();
-      }
+      const auto lk = versions_.LockForWrite();
       // Log-then-apply: the WAL append happens under the writer mutex
       // before the in-memory log-entry publish, so WAL order == LSN
       // order == acknowledgement order, and a crash after the append
       // but before the publish at worst replays a write the caller was
       // never acked for (safe: replay goes through this same path).
       WalAppendLocked(key, tombstone);
-      State* s = state_.load(std::memory_order_relaxed);
+      State* s = versions_.Current();
       uint32_t n = s->log_count.load(std::memory_order_relaxed);
       if (n == s->log_cap) {
         s = FreezeLocked(s, n);
@@ -523,43 +499,10 @@ class ConcurrentWritableIndex {
       if (dynamic::ShouldMerge(config_.policy, delta_entries,
                                s->base_keys->size(), writes_since_merge_,
                                ReadsSinceMerge())) {
-        RequestMerge();
+        worker_.Request();
       }
-      const bool changed = tombstone ? live_before : !live_before;
-      DrainDeferredFrees(lk);  // heavy frees happen outside the lock
-      return changed;
-    }
-
-    // ---- merge control ----
-
-    void RequestMerge() {
-      {
-        std::lock_guard<std::mutex> lk(merge_mu_);
-        merge_requested_ = true;
-      }
-      merge_cv_.notify_one();
-    }
-
-    Status Merge() {
-      std::unique_lock<std::mutex> lk(merge_mu_);
-      merge_requested_ = true;
-      merge_cv_.notify_one();
-      const uint64_t start = merge_cycles_;
-      merge_done_cv_.wait(lk, [&] {
-        return merge_cycles_ > start && !merge_requested_ && !merge_running_;
-      });
-      return last_merge_status_;
-    }
-
-    void WaitForMerges() {
-      std::unique_lock<std::mutex> lk(merge_mu_);
-      merge_done_cv_.wait(lk,
-                          [&] { return !merge_requested_ && !merge_running_; });
-    }
-
-    Status last_merge_status() const {
-      std::lock_guard<std::mutex> lk(merge_mu_);
-      return last_merge_status_;
+      // Reclaimed versions are freed as `lk` drops, outside the lock.
+      return tombstone ? live_before : !live_before;
     }
 
     // ---- persistence ----
@@ -581,8 +524,8 @@ class ConcurrentWritableIndex {
         wal::WalSnapshotMeta wal_meta;
         bool durable = false;
         {
-          std::lock_guard<std::mutex> lk(write_mu_);
-          const State* s = state_.load(std::memory_order_relaxed);
+          const auto lk = versions_.Lock();
+          const State* s = versions_.Current();
           if (s == nullptr) {
             return Status::FailedPrecondition(
                 "ConcurrentWritableIndex: not built");
@@ -691,18 +634,16 @@ class ConcurrentWritableIndex {
                       }) {
           config_.base = base->config();
         }
-        State* s = new State;
+        auto s = std::make_unique<State>(config_.log_cap);
         s->base_keys = std::move(bk);
         s->base = std::move(base);
         s->frozen = dynamic::DeltaBuffer<key_type>::FromSortedEntries(
             std::span<const dynamic::DeltaEntry<key_type>>(entries), 2);
-        s->log = std::make_unique<LogEntry[]>(config_.log_cap);
-        s->log_cap = config_.log_cap;
         const int64_t live = static_cast<int64_t>(s->base_keys->size()) +
                              s->frozen.LiveAdjustTotal();
-        state_.store(s, std::memory_order_seq_cst);
+        versions_.Install(std::move(s));
         live_count_.store(live, std::memory_order_relaxed);
-        worker_ = std::thread([this] { WorkerLoop(); });
+        worker_.Start([this] { return DoBackgroundMerge(); });
         return Status::OK();
       }
     }
@@ -714,7 +655,7 @@ class ConcurrentWritableIndex {
         return Status::Unimplemented(
             "ConcurrentWritableIndex durability needs a flat key type");
       } else {
-        std::lock_guard<std::mutex> lk(write_mu_);
+        const auto lk = versions_.Lock();
         if (wal_ != nullptr) {
           return Status::FailedPrecondition("durability already enabled");
         }
@@ -733,7 +674,7 @@ class ConcurrentWritableIndex {
             "ConcurrentWritableIndex durability needs a flat key type");
       } else {
         {
-          std::lock_guard<std::mutex> lk(write_mu_);
+          const auto lk = versions_.Lock();
           if (wal_ != nullptr) {
             return Status::FailedPrecondition("durability already enabled");
           }
@@ -766,7 +707,7 @@ class ConcurrentWritableIndex {
         }
         auto w = wal::WalWriter::Open(cfg.path, cfg, nullptr);
         if (!w.ok()) return w.status();
-        std::lock_guard<std::mutex> lk(write_mu_);
+        const auto lk = versions_.Lock();
         wal_ = std::make_unique<wal::WalWriter>(w.take());
         wal_status_ = Status::OK();
         if (wal_->stats().last_lsn < covered) {
@@ -790,29 +731,29 @@ class ConcurrentWritableIndex {
     }
 
     Status TruncateWalAfterPublish() const {
-      std::lock_guard<std::mutex> lk(write_mu_);
+      const auto lk = versions_.Lock();
       if (wal_ == nullptr) return Status::OK();
       // Under the writer mutex no append can race the rotation scan.
       return wal_->ResetTo(snapshot_covered_lsn_);
     }
 
     bool durable() const {
-      std::lock_guard<std::mutex> lk(write_mu_);
+      const auto lk = versions_.Lock();
       return wal_ != nullptr;
     }
 
     Status wal_status() const {
-      std::lock_guard<std::mutex> lk(write_mu_);
+      const auto lk = versions_.Lock();
       return wal_status_;
     }
 
     wal::WalStats DurabilityStats() const {
-      std::lock_guard<std::mutex> lk(write_mu_);
+      const auto lk = versions_.Lock();
       return wal_ != nullptr ? wal_->stats() : wal::WalStats{};
     }
 
     Status SyncWal() {
-      std::lock_guard<std::mutex> lk(write_mu_);
+      const auto lk = versions_.Lock();
       return wal_ != nullptr ? wal_->Sync() : Status::OK();
     }
 
@@ -827,14 +768,10 @@ class ConcurrentWritableIndex {
           FillStats<index::ConcurrentIndexStats>();
       s.freezes = freezes_.load(std::memory_order_relaxed);
       s.background_merges = s.merges;
-      s.writer_contended = writer_contended_.load(std::memory_order_relaxed);
-      s.states_published = states_published_.load(std::memory_order_relaxed);
-      s.states_retired = epoch_.retired_count();
-      s.states_reclaimed = epoch_.reclaimed_count();
-      s.epoch_fallback_pins = epoch_.fallback_pins();
+      versions_.VersionCountsInto(s);
       {
-        EpochManager::Guard g(epoch_);
-        const State* st = state_.load(std::memory_order_seq_cst);
+        EpochManager::Guard g(versions_.epoch());
+        const State* st = versions_.Load();
         s.log_entries =
             st ? st->log_count.load(std::memory_order_acquire) : 0;
       }
@@ -844,20 +781,9 @@ class ConcurrentWritableIndex {
 
     // ---- internals ----
 
-    ReadStripe& Stripe() const {
-      return read_stripes_[ThisThreadIndex() % kStripes];
-    }
-
-    uint64_t ReadTotal() const {
-      uint64_t t = 0;
-      for (const ReadStripe& s : read_stripes_) {
-        t += s.lookups.load(std::memory_order_relaxed);
-      }
-      return t;
-    }
-
     uint64_t ReadsSinceMerge() const {
-      return ReadTotal() - reads_baseline_.load(std::memory_order_relaxed);
+      return versions_.ReadTotal() -
+             reads_baseline_.load(std::memory_order_relaxed);
     }
 
     size_t RawLookupIn(const State& s, uint32_t n,
@@ -960,39 +886,13 @@ class ConcurrentWritableIndex {
     State* FreezeLocked(State* s, uint32_t n) {
       auto folded =
           FoldedEntries(*s, n, /*drop_redundant=*/!merge_rebase_pending_);
-      State* ns = new State;
+      auto ns = std::make_unique<State>(config_.log_cap);
       ns->base_keys = s->base_keys;
       ns->base = s->base;
       ns->frozen = dynamic::DeltaBuffer<key_type>::FromSortedEntries(
           std::span<const dynamic::DeltaEntry<key_type>>(folded), 2);
-      ns->log = std::make_unique<LogEntry[]>(config_.log_cap);
-      ns->log_cap = config_.log_cap;
-      PublishLocked(ns, s);
       freezes_.fetch_add(1, std::memory_order_relaxed);
-      return ns;
-    }
-
-    /// Swaps the version in and retires the old one. Reclaimable
-    /// versions are only *collected* here (we hold the writer mutex);
-    /// their destructors — the old base's key array and model tables —
-    /// run in DrainDeferredFrees after the caller unlocks, so no writer
-    /// ever pays a multi-megabyte free inside the lock.
-    void PublishLocked(State* fresh, State* old) {
-      state_.store(fresh, std::memory_order_seq_cst);
-      states_published_.fetch_add(1, std::memory_order_relaxed);
-      epoch_.Retire(old);
-      epoch_.ReclaimTo(deferred_free_);
-    }
-
-    /// Runs deferred version destructions outside the writer mutex.
-    /// `lk` must be the caller's held writer lock; released before the
-    /// deleters run (callers are done with shared state by then).
-    void DrainDeferredFrees(std::unique_lock<std::mutex>& lk) {
-      if (deferred_free_.empty()) return;
-      std::vector<EpochManager::Retired> batch;
-      batch.swap(deferred_free_);
-      lk.unlock();
-      EpochManager::Free(batch);
+      return versions_.PublishLocked(std::move(ns), s);
     }
 
     /// One background merge cycle (the worker's body).
@@ -1003,21 +903,17 @@ class ConcurrentWritableIndex {
       {
         // Phase 1 — rotate: fold any pending log so the delta to merge is
         // an immutable snapshot, then copy it out (O(delta), brief).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
+        const auto lk = versions_.Lock();
+        State* s = versions_.Current();
         const uint32_t n = s->log_count.load(std::memory_order_relaxed);
         if (n > 0) s = FreezeLocked(s, n);
-        if (s->frozen.empty()) {
-          DrainDeferredFrees(lk);
-          return Status::OK();
-        }
+        if (s->frozen.empty()) return Status::OK();
         frozen_copy = s->frozen;
         old_keys = s->base_keys;
         // From here until publish, freezes must keep every fold entry:
         // the snapshot just taken is being baked into the next base, so
         // "redundant vs the old base" no longer implies droppable.
         merge_rebase_pending_ = true;
-        DrainDeferredFrees(lk);
       }
       // Phase 2 — build off to the side: no locks, readers undisturbed.
       auto merged = std::make_shared<std::vector<key_type>>(
@@ -1027,15 +923,15 @@ class ConcurrentWritableIndex {
       if (const Status st = new_base->Build(
               std::span<const key_type>(*merged), config_.base);
           !st.ok()) {
-        std::lock_guard<std::mutex> lk(write_mu_);
+        const auto lk = versions_.Lock();
         merge_rebase_pending_ = false;  // old base stays; drops legal again
         return st;
       }
       {
         // Phase 3 — publish: rebase the delta that accumulated during the
         // build onto the new base, swap the version in, retire the old.
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
+        const auto lk = versions_.Lock();
+        State* s = versions_.Current();
         const uint32_t n = s->log_count.load(std::memory_order_relaxed);
         auto folded = FoldedEntries(*s, n, /*drop_redundant=*/false);
         std::vector<dynamic::DeltaEntry<key_type>> rebased;
@@ -1049,20 +945,18 @@ class ConcurrentWritableIndex {
                 dynamic::DeltaEntry<key_type>{e.key, e.tombstone, in_nb});
           }
         }
-        State* ns = new State;
+        auto ns = std::make_unique<State>(config_.log_cap);
         ns->base_keys = merged;
         ns->base = std::move(new_base);
         ns->frozen = dynamic::DeltaBuffer<key_type>::FromSortedEntries(
             std::span<const dynamic::DeltaEntry<key_type>>(rebased), 2);
-        ns->log = std::make_unique<LogEntry[]>(config_.log_cap);
-        ns->log_cap = config_.log_cap;
-        PublishLocked(ns, s);
+        versions_.PublishLocked(std::move(ns), s);
         merge_rebase_pending_ = false;
         merges_.fetch_add(1, std::memory_order_relaxed);
         merged_keys_.fetch_add(merged->size(), std::memory_order_relaxed);
         writes_since_merge_ = 0;
-        reads_baseline_.store(ReadTotal(), std::memory_order_relaxed);
-        DrainDeferredFrees(lk);
+        reads_baseline_.store(versions_.ReadTotal(),
+                              std::memory_order_relaxed);
       }
       const uint64_t ns_elapsed = static_cast<uint64_t>(timer.ElapsedNanos());
       last_merge_ns_.store(ns_elapsed, std::memory_order_relaxed);
@@ -1070,35 +964,10 @@ class ConcurrentWritableIndex {
       return Status::OK();
     }
 
-    void WorkerLoop() {
-      std::unique_lock<std::mutex> lk(merge_mu_);
-      for (;;) {
-        merge_cv_.wait(lk, [&] { return merge_requested_ || shutdown_; });
-        if (shutdown_) return;  // pending work is dropped; delta stays valid
-        merge_requested_ = false;
-        merge_running_ = true;
-        lk.unlock();
-        const Status st = DoBackgroundMerge();
-        lk.lock();
-        merge_running_ = false;
-        last_merge_status_ = st;
-        ++merge_cycles_;
-        merge_done_cv_.notify_all();
-      }
-    }
-
     template <typename S>
     S FillStats() const {
       S s{};
-      uint64_t lookups = 0, contains = 0, hits = 0;
-      for (const ReadStripe& r : read_stripes_) {
-        lookups += r.lookups.load(std::memory_order_relaxed);
-        contains += r.contains.load(std::memory_order_relaxed);
-        hits += r.delta_hits.load(std::memory_order_relaxed);
-      }
-      s.lookups = lookups;
-      s.contains = contains;
-      s.delta_hits = hits;
+      versions_.ReadCountsInto(s);
       s.inserts = inserts_.load(std::memory_order_relaxed);
       s.erases = erases_.load(std::memory_order_relaxed);
       s.merges = merges_.load(std::memory_order_relaxed);
@@ -1108,8 +977,8 @@ class ConcurrentWritableIndex {
       s.total_merge_ns = static_cast<double>(
           total_merge_ns_.load(std::memory_order_relaxed));
       {
-        EpochManager::Guard g(epoch_);
-        const State* st = state_.load(std::memory_order_seq_cst);
+        EpochManager::Guard g(versions_.epoch());
+        const State* st = versions_.Load();
         if (st != nullptr) {
           const uint32_t n = st->log_count.load(std::memory_order_acquire);
           s.delta_entries = st->frozen.entry_count() + n;
@@ -1122,36 +991,15 @@ class ConcurrentWritableIndex {
     }
 
     Config config_{};
-    std::atomic<State*> state_{nullptr};
-    // mutable: the const WriteSections capture quiesces writers on it.
-    mutable std::mutex write_mu_;
-    mutable EpochManager epoch_;
+    Versioned<State> versions_;
     std::atomic<int64_t> live_count_{0};
-    // Reclaimed-but-not-freed versions (mutated under write_mu_ only;
-    // drained outside it).
-    std::vector<EpochManager::Retired> deferred_free_;
 
-    // Merge worker machinery.
-    std::thread worker_;
-    mutable std::mutex merge_mu_;
-    std::condition_variable merge_cv_;
-    std::condition_variable merge_done_cv_;
-    bool merge_requested_ = false;
-    bool merge_running_ = false;
-    bool shutdown_ = false;
-    uint64_t merge_cycles_ = 0;
-    Status last_merge_status_{};
-
-    // Counters. Read stripes keep reader increments off one shared line.
-    mutable ReadStripe read_stripes_[kStripes];
     std::atomic<uint64_t> reads_baseline_{0};
     std::atomic<uint64_t> inserts_{0};
     std::atomic<uint64_t> erases_{0};
     std::atomic<uint64_t> merges_{0};
     std::atomic<uint64_t> merged_keys_{0};
     std::atomic<uint64_t> freezes_{0};
-    std::atomic<uint64_t> writer_contended_{0};
-    std::atomic<uint64_t> states_published_{0};
     std::atomic<uint64_t> last_merge_ns_{0};
     std::atomic<uint64_t> total_merge_ns_{0};
     uint64_t writes_since_merge_ = 0;  // writer-mutex holders only
@@ -1159,12 +1007,15 @@ class ConcurrentWritableIndex {
     // only): freeze folds must not drop entries then — see FreezeLocked.
     bool merge_rebase_pending_ = false;
 
-    // Durability (guarded by write_mu_; mutable because the const
+    // Durability (guarded by the writer mutex; mutable because the const
     // snapshot path stashes the covered LSN and truncates after publish).
     mutable std::unique_ptr<wal::WalWriter> wal_;
     Status wal_status_{};
     uint64_t covered_lsn_ = 0;  // watermark inherited from OpenSnapshot
     mutable uint64_t snapshot_covered_lsn_ = 0;
+
+    // Last: joined before the members DoBackgroundMerge uses are destroyed.
+    Worker worker_;
   };
 
   std::unique_ptr<Impl> impl_;

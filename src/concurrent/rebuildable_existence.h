@@ -19,13 +19,13 @@
 // MightContain answers log -> frozen -> pending -> filter under an epoch
 // pin, lock-free; because every side structure is exact, the §5
 // no-false-negative guarantee extends to inserted keys the moment Insert
-// returns. Writers serialize on one mutex, append to the log, publish the
-// count with a release store, and fold a full log into the frozen set as
-// a fresh version (epoch retire/reclaim, same protocol as every
-// concurrent class).
+// returns. Writers serialize on the writer mutex, append to the log, and
+// fold a full log into the frozen set as a fresh version — the
+// publish/retire protocol of concurrent/versioned.h, shared by every
+// concurrent class.
 //
 // When the side set outgrows `staleness` (side/corpus ratio), a
-// background worker rebuilds the filter:
+// background worker (concurrent/worker.h) rebuilds the filter:
 //   1. rotate: fold the log, move frozen -> pending, snapshot corpus +
 //      pending (brief writer lock);
 //   2. build: corpus' = corpus ∪ pending, run the caller-supplied
@@ -47,16 +47,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -64,6 +61,8 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "concurrent/epoch.h"
+#include "concurrent/versioned.h"
+#include "concurrent/worker.h"
 #include "index/concurrent_existence_index.h"
 #include "index/concurrent_writable_index.h"
 #include "index/existence_index.h"
@@ -138,18 +137,18 @@ class RebuildableExistence {
   // ---- rebuild control ----
 
   Status Rebuild() {
-    return impl_ ? impl_->Rebuild()
+    return impl_ ? impl_->worker_.Run()
                  : Status::FailedPrecondition(
                        "RebuildableExistence: not built");
   }
   void RequestRebuild() {
-    if (impl_ != nullptr) impl_->RequestRebuild();
+    if (impl_ != nullptr) impl_->worker_.Request();
   }
   void WaitForRebuilds() {
-    if (impl_ != nullptr) impl_->WaitForRebuilds();
+    if (impl_ != nullptr) impl_->worker_.Wait();
   }
   Status last_rebuild_status() const {
-    return impl_ ? impl_->last_rebuild_status() : Status::OK();
+    return impl_ ? impl_->worker_.last_status() : Status::OK();
   }
 
   const Config& config() const {
@@ -159,33 +158,18 @@ class RebuildableExistence {
 
  private:
   struct State {
+    explicit State(size_t cap)
+        : log(std::make_unique<std::string[]>(cap)), log_cap(cap) {}
     std::shared_ptr<const Base> filter;  // covers *corpus, no more
     std::shared_ptr<const std::vector<std::string>> corpus;   // sorted
     std::shared_ptr<const std::vector<std::string>> pending;  // sorted
     std::vector<std::string> frozen;                          // sorted
     std::unique_ptr<std::string[]> log;
-    size_t log_cap = 0;
+    size_t log_cap;
     std::atomic<uint32_t> log_count{0};
   };
 
-  struct alignas(64) ReadStripe {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> side_hits{0};
-  };
-  static constexpr size_t kStripes = 16;
-
   struct Impl {
-    ~Impl() {
-      {
-        std::lock_guard<std::mutex> lk(rebuild_mu_);
-        shutdown_ = true;
-      }
-      rebuild_cv_.notify_all();
-      if (worker_.joinable()) worker_.join();
-      delete state_.load(std::memory_order_relaxed);
-      EpochManager::Free(deferred_free_);
-    }
-
     Status Build(std::span<const std::string> keys, const Config& config) {
       if (!config.rebuild) {
         return Status::InvalidArgument(
@@ -205,34 +189,32 @@ class RebuildableExistence {
       }
       key_count_.store(static_cast<int64_t>(corpus->size()),
                        std::memory_order_relaxed);
-      State* s = new State;
+      auto s = std::make_unique<State>(config_.log_cap);
       s->filter = std::move(filter);
       s->corpus = std::move(corpus);
-      s->log = std::make_unique<std::string[]>(config_.log_cap);
-      s->log_cap = config_.log_cap;
-      state_.store(s, std::memory_order_seq_cst);
-      worker_ = std::thread([this] { WorkerLoop(); });
+      versions_.Install(std::move(s));
+      worker_.Start([this] { return DoBackgroundRebuild(); });
       return Status::OK();
     }
 
     // ---- read path ----
 
     bool MightContain(std::string_view key) const {
-      ReadStripe& stripe = Stripe();
+      auto& stripe = versions_.Stripe();
       stripe.lookups.fetch_add(1, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
+      EpochManager::Guard g(versions_.epoch());
+      const State* s = versions_.Load();
       if (s == nullptr) return false;
       const uint32_t n = s->log_count.load(std::memory_order_acquire);
       for (uint32_t i = n; i-- > 0;) {
         if (s->log[i] == key) {
-          stripe.side_hits.fetch_add(1, std::memory_order_relaxed);
+          stripe.hits.fetch_add(1, std::memory_order_relaxed);
           return true;
         }
       }
       if (SortedContains(s->frozen, key) ||
           (s->pending != nullptr && SortedContains(*s->pending, key))) {
-        stripe.side_hits.fetch_add(1, std::memory_order_relaxed);
+        stripe.hits.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
       return s->filter->MightContain(key);
@@ -244,8 +226,8 @@ class RebuildableExistence {
     }
 
     size_t SizeBytes() const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
+      EpochManager::Guard g(versions_.epoch());
+      const State* s = versions_.Load();
       if (s == nullptr) return 0;
       // The filter plus the exact side structures; the corpus is the
       // rebuild input and part of what this structure owns, so it is
@@ -263,14 +245,9 @@ class RebuildableExistence {
 
     index::ConcurrentIndexStats ConcurrentStats() const {
       index::ConcurrentIndexStats cs;
-      uint64_t lookups = 0, hits = 0;
-      for (const ReadStripe& r : read_stripes_) {
-        lookups += r.lookups.load(std::memory_order_relaxed);
-        hits += r.side_hits.load(std::memory_order_relaxed);
-      }
-      cs.lookups = lookups;
-      cs.contains = lookups;
-      cs.delta_hits = hits;
+      versions_.ReadCountsInto(cs);
+      versions_.VersionCountsInto(cs);
+      cs.contains = cs.lookups;  // every probe is a membership query
       cs.inserts = inserts_.load(std::memory_order_relaxed);
       cs.merges = rebuilds_.load(std::memory_order_relaxed);
       cs.background_merges = cs.merges;
@@ -280,16 +257,9 @@ class RebuildableExistence {
       cs.total_merge_ns = static_cast<double>(
           total_rebuild_ns_.load(std::memory_order_relaxed));
       cs.freezes = freezes_.load(std::memory_order_relaxed);
-      cs.writer_contended =
-          writer_contended_.load(std::memory_order_relaxed);
-      cs.states_published =
-          states_published_.load(std::memory_order_relaxed);
-      cs.states_retired = epoch_.retired_count();
-      cs.states_reclaimed = epoch_.reclaimed_count();
-      cs.epoch_fallback_pins = epoch_.fallback_pins();
       {
-        EpochManager::Guard g(epoch_);
-        const State* s = state_.load(std::memory_order_seq_cst);
+        EpochManager::Guard g(versions_.epoch());
+        const State* s = versions_.Load();
         if (s != nullptr) {
           const uint32_t n = s->log_count.load(std::memory_order_acquire);
           cs.log_entries = n;
@@ -305,17 +275,10 @@ class RebuildableExistence {
     // ---- write path ----
 
     bool Insert(std::string_view key) {
-      std::unique_lock<std::mutex> lk(write_mu_, std::try_to_lock);
-      if (!lk.owns_lock()) {
-        writer_contended_.fetch_add(1, std::memory_order_relaxed);
-        lk.lock();
-      }
-      State* s = state_.load(std::memory_order_relaxed);
+      const auto lk = versions_.LockForWrite();
+      State* s = versions_.Current();
       uint32_t n = s->log_count.load(std::memory_order_relaxed);
-      if (ExactMemberLocked(*s, n, key)) {
-        DrainDeferredFrees(lk);
-        return false;
-      }
+      if (ExactMemberLocked(*s, n, key)) return false;
       if (n == s->log_cap) {
         s = FreezeLocked(s, n);
         n = 0;
@@ -331,50 +294,12 @@ class RebuildableExistence {
               config_.staleness *
                   static_cast<double>(std::max<size_t>(s->corpus->size(),
                                                        1))) {
-        RequestRebuild();
+        worker_.Request();
       }
-      DrainDeferredFrees(lk);
       return true;
     }
 
-    // ---- rebuild control ----
-
-    void RequestRebuild() {
-      {
-        std::lock_guard<std::mutex> lk(rebuild_mu_);
-        rebuild_requested_ = true;
-      }
-      rebuild_cv_.notify_one();
-    }
-
-    Status Rebuild() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      rebuild_requested_ = true;
-      rebuild_cv_.notify_one();
-      const uint64_t start = rebuild_cycles_;
-      rebuild_done_cv_.wait(lk, [&] {
-        return rebuild_cycles_ > start && !rebuild_requested_ &&
-               !rebuild_running_;
-      });
-      return last_rebuild_status_;
-    }
-
-    void WaitForRebuilds() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      rebuild_done_cv_.wait(
-          lk, [&] { return !rebuild_requested_ && !rebuild_running_; });
-    }
-
-    Status last_rebuild_status() const {
-      std::lock_guard<std::mutex> lk(rebuild_mu_);
-      return last_rebuild_status_;
-    }
-
     // ---- internals ----
-
-    ReadStripe& Stripe() const {
-      return read_stripes_[ThisThreadIndex() % kStripes];
-    }
 
     static bool SortedContains(const std::vector<std::string>& v,
                                std::string_view key) {
@@ -401,7 +326,7 @@ class RebuildableExistence {
     /// the result as a new version (same filter/corpus/pending). Caller
     /// holds the writer mutex. Returns the published version.
     State* FreezeLocked(State* s, uint32_t n) {
-      State* ns = new State;
+      auto ns = std::make_unique<State>(config_.log_cap);
       ns->filter = s->filter;
       ns->corpus = s->corpus;
       ns->pending = s->pending;
@@ -410,26 +335,8 @@ class RebuildableExistence {
                         s->frozen.end());
       for (uint32_t i = 0; i < n; ++i) ns->frozen.push_back(s->log[i]);
       std::sort(ns->frozen.begin(), ns->frozen.end());
-      ns->log = std::make_unique<std::string[]>(config_.log_cap);
-      ns->log_cap = config_.log_cap;
-      PublishLocked(ns, s);
       freezes_.fetch_add(1, std::memory_order_relaxed);
-      return ns;
-    }
-
-    void PublishLocked(State* fresh, State* old) {
-      state_.store(fresh, std::memory_order_seq_cst);
-      states_published_.fetch_add(1, std::memory_order_relaxed);
-      epoch_.Retire(old);
-      epoch_.ReclaimTo(deferred_free_);
-    }
-
-    void DrainDeferredFrees(std::unique_lock<std::mutex>& lk) {
-      if (deferred_free_.empty()) return;
-      std::vector<EpochManager::Retired> batch;
-      batch.swap(deferred_free_);
-      lk.unlock();
-      EpochManager::Free(batch);
+      return versions_.PublishLocked(std::move(ns), s);
     }
 
     /// One background rebuild cycle (the worker's body).
@@ -441,16 +348,13 @@ class RebuildableExistence {
         // Phase 1 — rotate: fold the log, move frozen -> pending so the
         // set to bake in is an immutable snapshot readers keep answering
         // exactly (brief writer lock).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
+        const auto lk = versions_.Lock();
+        State* s = versions_.Current();
         const uint32_t n = s->log_count.load(std::memory_order_relaxed);
         if (n > 0) s = FreezeLocked(s, n);
-        if (s->frozen.empty() && s->pending == nullptr) {
-          DrainDeferredFrees(lk);
-          return Status::OK();
-        }
-        // Copy, never move: `s` stays published until PublishLocked and
-        // readers scan s->frozen lock-free the whole time.
+        if (s->frozen.empty() && s->pending == nullptr) return Status::OK();
+        // Copy, never move: `s` stays published until PublishLocked below
+        // and readers scan s->frozen lock-free the whole time.
         auto pend = std::make_shared<std::vector<std::string>>(s->frozen);
         if (s->pending != nullptr) {
           // A previous failed cycle left keys pending; fold them in.
@@ -458,16 +362,13 @@ class RebuildableExistence {
           std::sort(pend->begin(), pend->end());
           pend->erase(std::unique(pend->begin(), pend->end()), pend->end());
         }
-        State* ns = new State;
+        auto ns = std::make_unique<State>(config_.log_cap);
         ns->filter = s->filter;
         ns->corpus = s->corpus;
         ns->pending = pend;
-        ns->log = std::make_unique<std::string[]>(config_.log_cap);
-        ns->log_cap = config_.log_cap;
-        PublishLocked(ns, s);
         corpus = ns->corpus;
         pending = pend;
-        DrainDeferredFrees(lk);
+        versions_.PublishLocked(std::move(ns), s);
       }
       // Phase 2 — build off to the side: corpus' = corpus ∪ pending,
       // rebuild the filter over it. No locks held; model training and
@@ -487,9 +388,9 @@ class RebuildableExistence {
       {
         // Phase 3 — publish (or, on failure, fold pending back so the
         // next cycle retries; the old filter keeps serving either way).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
-        State* ns = new State;
+        const auto lk = versions_.Lock();
+        State* s = versions_.Current();
+        auto ns = std::make_unique<State>(config_.log_cap);
         if (built.ok()) {
           ns->filter = std::move(filter);
           ns->corpus = merged;
@@ -507,8 +408,6 @@ class RebuildableExistence {
         // Keep the live log tail: readers of the new version must still
         // see the entries the old version's log holds.
         const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        ns->log = std::make_unique<std::string[]>(config_.log_cap);
-        ns->log_cap = config_.log_cap;
         for (uint32_t i = 0; i < n; ++i) ns->log[i] = s->log[i];
         ns->log_count.store(n, std::memory_order_relaxed);
         if (built.ok()) {
@@ -519,8 +418,7 @@ class RebuildableExistence {
           merged_keys_.fetch_add(merged->size(), std::memory_order_relaxed);
           rebuilds_.fetch_add(1, std::memory_order_relaxed);
         }
-        PublishLocked(ns, s);
-        DrainDeferredFrees(lk);
+        versions_.PublishLocked(std::move(ns), s);
       }
       const uint64_t ns_elapsed =
           static_cast<uint64_t>(timer.ElapsedNanos());
@@ -529,55 +427,24 @@ class RebuildableExistence {
       return built;
     }
 
-    void WorkerLoop() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      for (;;) {
-        rebuild_cv_.wait(lk, [&] { return rebuild_requested_ || shutdown_; });
-        if (shutdown_) return;
-        rebuild_requested_ = false;
-        rebuild_running_ = true;
-        lk.unlock();
-        const Status st = DoBackgroundRebuild();
-        lk.lock();
-        rebuild_running_ = false;
-        last_rebuild_status_ = st;
-        ++rebuild_cycles_;
-        rebuild_done_cv_.notify_all();
-      }
-    }
-
     Config config_{};
-    std::atomic<State*> state_{nullptr};
-    mutable std::mutex write_mu_;
-    mutable EpochManager epoch_;
+    Versioned<State> versions_;
     std::atomic<int64_t> key_count_{0};
     // Stored bytes of the current corpus (strings + array), recomputed at
     // each successful publish; read under the epoch guard in SizeBytes.
     // Writer-mutex holders only for writes.
     std::atomic<size_t> corpus_bytes_{0};
-    std::vector<EpochManager::Retired> deferred_free_;
 
-    // Rebuild worker machinery.
-    std::thread worker_;
-    mutable std::mutex rebuild_mu_;
-    std::condition_variable rebuild_cv_;
-    std::condition_variable rebuild_done_cv_;
-    bool rebuild_requested_ = false;
-    bool rebuild_running_ = false;
-    bool shutdown_ = false;
-    uint64_t rebuild_cycles_ = 0;
-    Status last_rebuild_status_{};
-
-    // Counters.
-    mutable ReadStripe read_stripes_[kStripes];
     std::atomic<uint64_t> inserts_{0};
     std::atomic<uint64_t> rebuilds_{0};
     std::atomic<uint64_t> merged_keys_{0};
     std::atomic<uint64_t> freezes_{0};
-    std::atomic<uint64_t> writer_contended_{0};
-    std::atomic<uint64_t> states_published_{0};
     std::atomic<uint64_t> last_rebuild_ns_{0};
     std::atomic<uint64_t> total_rebuild_ns_{0};
+
+    // Last: joined before the members DoBackgroundRebuild uses are
+    // destroyed.
+    Worker worker_;
   };
 
   std::unique_ptr<Impl> impl_;

@@ -42,7 +42,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -52,13 +51,13 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "concurrent/epoch.h"
+#include "concurrent/worker.h"
 #include "index/approx.h"
 #include "index/concurrent_writable_index.h"
 #include "index/durable_index.h"
@@ -285,7 +284,7 @@ class ShardedIndex {
 
   /// Outcome of the most recent rebalance cycle (OK before the first).
   Status last_rebalance_status() const {
-    return impl_ ? impl_->last_rebalance_status() : Status::OK();
+    return impl_ ? impl_->worker_.last_status() : Status::OK();
   }
 
   // ---- Durability (per-shard WAL routing; docs/DURABILITY.md) ----
@@ -483,31 +482,14 @@ class ShardedIndex {
 
   struct Impl {
     ~Impl() {
-      {
-        std::lock_guard<std::mutex> lk(rebalance_mu_);
-        shutdown_ = true;
-      }
-      rebalance_cv_.notify_all();
-      if (worker_.joinable()) worker_.join();
+      worker_.Stop();
       delete map_.load(std::memory_order_relaxed);
       // epoch_ frees every retired map; slots die with their last map.
     }
 
     Status Build(std::span<const key_type> keys, const Config& config) {
       config_ = config;
-      config_.rebalance.check_stride =
-          std::max<size_t>(config_.rebalance.check_stride, 1);
-      config_.rebalance.scan_chunk =
-          std::max<size_t>(config_.rebalance.scan_chunk, 2);
-      // Enforce the documented knob invariants: a factor at or below 1
-      // would split on any non-uniform mass (rebuild churn to the
-      // max_shards cap), and a coalesce threshold at or above factor/2
-      // would re-coalesce freshly split halves (oscillation).
-      config_.rebalance.max_imbalance =
-          std::max(config_.rebalance.max_imbalance, 1.1);
-      config_.rebalance.coalesce_fraction =
-          std::clamp(config_.rebalance.coalesce_fraction, 0.0,
-                     config_.rebalance.max_imbalance * 0.45);
+      ClampRebalanceKnobs();
       const size_t shards = std::max<size_t>(config.num_shards, 1);
       auto map = std::make_unique<ShardMap>();
       // CDF sample: every stride-th key (the keys are the CDF's inverse).
@@ -547,10 +529,31 @@ class ShardedIndex {
         map->slots.push_back(std::move(slot));
         begin = end;
       }
+      return StartServing(std::move(map));
+    }
+
+    /// Enforces the documented knob invariants, on Build's config and on
+    /// knobs read back from a snapshot or MANIFEST (a corrupt one must not
+    /// re-enable oscillation or div-by-zero): a factor at or below 1
+    /// would split on any non-uniform mass (rebuild churn to the
+    /// max_shards cap), and a coalesce threshold at or above factor/2
+    /// would re-coalesce freshly split halves (oscillation).
+    void ClampRebalanceKnobs() {
+      ShardRebalanceConfig& rc = config_.rebalance;
+      rc.check_stride = std::max<size_t>(rc.check_stride, 1);
+      rc.scan_chunk = std::max<size_t>(rc.scan_chunk, 2);
+      rc.max_imbalance = std::max(rc.max_imbalance, 1.1);
+      rc.coalesce_fraction =
+          std::clamp(rc.coalesce_fraction, 0.0, rc.max_imbalance * 0.45);
+    }
+
+    /// Installs the first map (Build, snapshot load, recovery) and starts
+    /// the rebalance worker.
+    Status StartServing(std::unique_ptr<ShardMap> map) {
       map_.store(map.release(), std::memory_order_seq_cst);
       maps_published_.fetch_add(1, std::memory_order_relaxed);
       if constexpr (kRebalanceCapable) {
-        worker_ = std::thread([this] { WorkerLoop(); });
+        worker_.Start([this] { return DoRebalance(); });
       }
       return Status::OK();
     }
@@ -753,27 +756,11 @@ class ShardedIndex {
     // ---- rebalance control ----
 
     void RequestRebalance() {
-      if constexpr (kRebalanceCapable) {
-        {
-          std::lock_guard<std::mutex> lk(rebalance_mu_);
-          rebalance_requested_ = true;
-        }
-        rebalance_cv_.notify_one();
-      }
+      if constexpr (kRebalanceCapable) worker_.Request();
     }
 
     void WaitForRebalances() {
-      if constexpr (kRebalanceCapable) {
-        std::unique_lock<std::mutex> lk(rebalance_mu_);
-        rebalance_done_cv_.wait(lk, [&] {
-          return !rebalance_requested_ && !rebalance_running_;
-        });
-      }
-    }
-
-    Status last_rebalance_status() const {
-      std::lock_guard<std::mutex> lk(rebalance_mu_);
-      return last_rebalance_status_;
+      if constexpr (kRebalanceCapable) worker_.Wait();
     }
 
     // ---- durability ----
@@ -895,15 +882,7 @@ class ShardedIndex {
         config_.num_shards = man.num_shards_cfg;
         config_.cdf_sample = man.cdf_sample;
         config_.rebalance = man.rebalance;
-        config_.rebalance.check_stride =
-            std::max<size_t>(config_.rebalance.check_stride, 1);
-        config_.rebalance.scan_chunk =
-            std::max<size_t>(config_.rebalance.scan_chunk, 2);
-        config_.rebalance.max_imbalance =
-            std::max(config_.rebalance.max_imbalance, 1.1);
-        config_.rebalance.coalesce_fraction =
-            std::clamp(config_.rebalance.coalesce_fraction, 0.0,
-                       config_.rebalance.max_imbalance * 0.45);
+        ClampRebalanceKnobs();
         next_uid_ = next_uid;
         auto map = std::make_unique<ShardMap>();
         map->boundaries.assign(bounds.value().begin(), bounds.value().end());
@@ -932,12 +911,7 @@ class ShardedIndex {
         RemoveOrphanShardFiles(
             {uids.value().begin(), uids.value().end()});
         durable_.store(true, std::memory_order_release);
-        map_.store(map.release(), std::memory_order_seq_cst);
-        maps_published_.fetch_add(1, std::memory_order_relaxed);
-        if constexpr (kRebalanceCapable) {
-          worker_ = std::thread([this] { WorkerLoop(); });
-        }
-        return Status::OK();
+        return StartServing(std::move(map));
       }
     }
 
@@ -1059,17 +1033,7 @@ class ShardedIndex {
         config_.num_shards = man.num_shards_cfg;
         config_.cdf_sample = man.cdf_sample;
         config_.rebalance = man.rebalance;
-        // Re-apply Build's knob clamps: a corrupt or hand-edited
-        // manifest must not re-enable oscillation or div-by-zero.
-        config_.rebalance.check_stride =
-            std::max<size_t>(config_.rebalance.check_stride, 1);
-        config_.rebalance.scan_chunk =
-            std::max<size_t>(config_.rebalance.scan_chunk, 2);
-        config_.rebalance.max_imbalance =
-            std::max(config_.rebalance.max_imbalance, 1.1);
-        config_.rebalance.coalesce_fraction =
-            std::clamp(config_.rebalance.coalesce_fraction, 0.0,
-                       config_.rebalance.max_imbalance * 0.45);
+        ClampRebalanceKnobs();
         auto map = std::make_unique<ShardMap>();
         map->boundaries.assign(bounds.value().begin(), bounds.value().end());
         for (size_t i = 0; i < man.shard_count; ++i) {
@@ -1085,12 +1049,7 @@ class ShardedIndex {
                       }) {
           config_.inner = map->slots[0]->index.config();
         }
-        map_.store(map.release(), std::memory_order_seq_cst);
-        maps_published_.fetch_add(1, std::memory_order_relaxed);
-        if constexpr (kRebalanceCapable) {
-          worker_ = std::thread([this] { WorkerLoop(); });
-        }
-        return Status::OK();
+        return StartServing(std::move(map));
       }
     }
 
@@ -1256,14 +1215,6 @@ class ShardedIndex {
       map_.store(fresh, std::memory_order_seq_cst);
       maps_published_.fetch_add(1, std::memory_order_relaxed);
       epoch_.Retire(old);
-    }
-
-    /// Frees retired maps no reader can still reach. Worker/destructor
-    /// context, no locks held.
-    void ReclaimMaps() {
-      std::vector<EpochManager::Retired> batch;
-      epoch_.ReclaimTo(batch);
-      EpochManager::Free(batch);
     }
 
     /// Re-opens a sealed slot after an aborted rebalance action: writes
@@ -1569,21 +1520,20 @@ class ShardedIndex {
     /// One rebalance cycle: act on what PickAction calls for, re-check,
     /// repeat until balanced, the per-cycle action cap hits, or an
     /// action cannot make progress (e.g. the hot shard has nothing to
-    /// cut strictly between). `work_remaining` reports a cap-limited
-    /// exit with the conditions still firing — the worker then re-arms
-    /// itself, so one WaitForRebalances() suffices for callers however
-    /// many actions the drift needs.
-    Status DoRebalance(bool* work_remaining) {
-      *work_remaining = false;
+    /// cut strictly between). A cap-limited exit with the conditions
+    /// still firing requests the next cycle itself, so one
+    /// WaitForRebalances() suffices for callers however many actions the
+    /// drift needs.
+    Status DoRebalance() {
       const size_t cap = config_.rebalance.max_actions_per_cycle;
       for (size_t action = 0; action < cap; ++action) {
-        ReclaimMaps();
+        epoch_.Reclaim();
         // The worker is the only map mutator, so its own load needs no
         // epoch pin — the map cannot be retired out from under it.
         ShardMap* m = map_.load(std::memory_order_seq_cst);
         const RebalanceAction act = PickAction(*m);
         if (act.kind == RebalanceAction::Kind::kNone) {  // balanced
-          ReclaimMaps();
+          epoch_.Reclaim();
           return Status::OK();
         }
         bool published = false;
@@ -1593,38 +1543,16 @@ class ShardedIndex {
           LI_RETURN_IF_ERROR(CoalesceShards(m, act.shard, &published));
         }
         if (!published) {  // no progress possible on this pick; give up
-          ReclaimMaps();   // the cycle (writers may re-trigger later)
+          epoch_.Reclaim();  // the cycle (writers may re-trigger later)
           return Status::OK();
         }
       }
-      *work_remaining =
-          PickAction(*map_.load(std::memory_order_seq_cst)).kind !=
-          RebalanceAction::Kind::kNone;
-      ReclaimMaps();
-      return Status::OK();
-    }
-
-    void WorkerLoop() {
-      std::unique_lock<std::mutex> lk(rebalance_mu_);
-      for (;;) {
-        rebalance_cv_.wait(lk,
-                           [&] { return rebalance_requested_ || shutdown_; });
-        if (shutdown_) return;
-        rebalance_requested_ = false;
-        rebalance_running_ = true;
-        lk.unlock();
-        bool work_remaining = false;
-        const Status st = DoRebalance(&work_remaining);
-        lk.lock();
-        rebalance_running_ = false;
-        last_rebalance_status_ = st;
-        // Cap-limited exit with conditions still firing: re-arm so the
-        // next iteration continues (WaitForRebalances keeps waiting).
-        if (st.ok() && work_remaining && !shutdown_) {
-          rebalance_requested_ = true;
-        }
-        rebalance_done_cv_.notify_all();
+      if (PickAction(*map_.load(std::memory_order_seq_cst)).kind !=
+          RebalanceAction::Kind::kNone) {
+        worker_.Request();  // re-arm before this cycle reports done
       }
+      epoch_.Reclaim();
+      return Status::OK();
     }
 
     static void Accumulate(index::WritableIndexStats& agg,
@@ -1647,16 +1575,6 @@ class ShardedIndex {
     std::atomic<ShardMap*> map_{nullptr};
     mutable EpochManager epoch_;
 
-    // Rebalance worker machinery (mirrors the merge worker's).
-    std::thread worker_;
-    mutable std::mutex rebalance_mu_;
-    std::condition_variable rebalance_cv_;
-    std::condition_variable rebalance_done_cv_;
-    bool rebalance_requested_ = false;
-    bool rebalance_running_ = false;
-    bool shutdown_ = false;
-    Status last_rebalance_status_{};
-
     std::atomic<uint64_t> write_tick_{0};
     std::atomic<uint64_t> splits_{0};
     std::atomic<uint64_t> coalesces_{0};
@@ -1669,6 +1587,10 @@ class ShardedIndex {
     mutable std::mutex durable_mu_;
     wal::DurabilityConfig dur_cfg_;
     uint64_t next_uid_ = 0;
+
+    // The rebalance worker (started only when kRebalanceCapable). Last:
+    // joined before the members DoRebalance uses are destroyed.
+    Worker worker_;
   };
 
   std::unique_ptr<Impl> impl_;

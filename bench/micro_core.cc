@@ -538,59 +538,6 @@ void BM_CuckooMapFindBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_CuckooMapFindBatch);
 
-// Per-level map probes: the batch slot computation vectorizes with the
-// dispatch level while the chain walk / bucket probe stays memory-bound,
-// so the level deltas here bound how much of FindBatch is compute.
-void BM_ChainedMapFindBatchAtLevel(benchmark::State& state) {
-  const auto level = static_cast<simd::Level>(state.range(0));
-  const auto* map = BuiltChainedMap();
-  if (map == nullptr) {
-    state.SkipWithError("build failed");
-    return;
-  }
-  simd::ScopedLevel pin(level);
-  if (!PinLevelOrSkip(state, pin)) return;
-  const auto& qs = Queries();
-  std::vector<const hash::Record*> out(qs.size());
-  for (auto _ : state) {
-    map->FindBatch(qs, out);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(qs.size()));
-}
-BENCHMARK(BM_ChainedMapFindBatchAtLevel)
-    ->ArgNames({"level"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2);
-
-void BM_CuckooMapFindBatchAtLevel(benchmark::State& state) {
-  const auto level = static_cast<simd::Level>(state.range(0));
-  const auto* map = BuiltCuckooMap();
-  if (map == nullptr) {
-    state.SkipWithError("build failed");
-    return;
-  }
-  simd::ScopedLevel pin(level);
-  if (!PinLevelOrSkip(state, pin)) return;
-  const auto& qs = Queries();
-  std::vector<const hash::Record*> out(qs.size());
-  for (auto _ : state) {
-    map->FindBatch(qs, out);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(qs.size()));
-}
-BENCHMARK(BM_CuckooMapFindBatchAtLevel)
-    ->ArgNames({"level"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2);
-
 // ---- optional machine-readable output (BENCH_micro.json) ----
 
 // Console output stays the default; when BENCH_MICRO_JSON is set, every

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/bits.h"
-#include "common/random.h"
 #include "common/status.h"
 #include "hash/record.h"
 #include "index/point_index.h"
@@ -94,10 +93,9 @@ class CuckooMap {
   }
 
   /// Software-pipelined batch probe: per 64-key block, phase 1 computes
-  /// both candidate buckets for the whole block with the vectorized
-  /// cuckoo_slots kernel (the distinct-bucket fix-up — a rare, cheap
-  /// correction — stays scalar) and prefetches them, phase 2 probes —
-  /// overlapping the (up to two) cache misses of neighboring keys.
+  /// both candidate buckets for the whole block and prefetches them,
+  /// phase 2 probes — overlapping the (up to two) cache misses of
+  /// neighboring keys.
   void FindBatch(std::span<const uint64_t> keys,
                  std::span<const Value*> out) const {
     const size_t n = std::min(keys.size(), out.size());
@@ -105,15 +103,12 @@ class CuckooMap {
       for (size_t i = 0; i < n; ++i) out[i] = nullptr;
       return;
     }
-    const simd::Kernels& kern = simd::GetKernels();
     constexpr size_t kBlock = 64;
-    alignas(64) uint64_t b1[kBlock], b2[kBlock];
+    size_t b1[kBlock], b2[kBlock];
     for (size_t base = 0; base < n; base += kBlock) {
       const size_t b = std::min(kBlock, n - base);
-      kern.cuckoo_slots(keys.data() + base, b, config_.seed, num_buckets_,
-                        b1, b2);
       for (size_t k = 0; k < b; ++k) {
-        if (b2[k] == b1[k]) b2[k] = (b1[k] + 1) % num_buckets_;
+        Buckets(keys[base + k], &b1[k], &b2[k]);
         PrefetchRead(&buckets_[b1[k]]);
         PrefetchRead(&buckets_[b2[k]]);
       }
@@ -200,17 +195,13 @@ class CuckooMap {
     return Status::OK();
   }
 
-  size_t Reduce(uint64_t h) const {
-    return static_cast<size_t>(
-        (static_cast<unsigned __int128>(h) * num_buckets_) >> 64);
-  }
-
   /// Two independent bucket choices; forced distinct so eviction always
   /// makes progress.
   void Buckets(uint64_t key, size_t* b1, size_t* b2) const {
-    *b1 = Reduce(Murmur3Fmix64(key ^ config_.seed));
-    *b2 = Reduce(Murmur3Fmix64(key + 0x9e3779b97f4a7c15ULL + config_.seed));
-    if (*b2 == *b1) *b2 = (*b1 + 1) % num_buckets_;
+    uint64_t h1 = 0, h2 = 0;
+    simd::ScalarCuckooSlots(key, config_.seed, num_buckets_, &h1, &h2);
+    *b1 = h1;
+    *b2 = h2 == h1 ? (h1 + 1) % num_buckets_ : h2;
   }
 
   const Value* Probe(size_t bucket, uint64_t key) const {

@@ -42,11 +42,10 @@ class RandomHash {
     return simd::ScalarHashSlot(key, seed_, num_slots_);
   }
 
-  /// Batch slot computation through the SIMD kernel table (the scalar
-  /// table at scalar level — spec-identical to operator(), so batch and
-  /// single-key probes agree on every home slot).
+  /// Batch slot computation: operator() per key, so batch and single-key
+  /// probes agree on every home slot.
   void SlotBatch(const uint64_t* keys, size_t n, uint64_t* slots) const {
-    simd::GetKernels().hash_slots(keys, n, seed_, num_slots_, slots);
+    for (size_t i = 0; i < n; ++i) slots[i] = (*this)(keys[i]);
   }
 
   /// Re-aims the hash at a new table size (the multiply-shift needs no

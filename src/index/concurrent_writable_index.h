@@ -43,14 +43,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <span>
-#include <type_traits>
-#include <utility>
-#include <vector>
 
-#include "common/status.h"
-#include "index/approx.h"
 #include "index/writable_range_index.h"
 
 namespace li::index {
@@ -100,145 +93,6 @@ concept ConcurrentWritableRangeIndex =
       { mut.RequestMerge() } -> std::same_as<void>;
       { mut.WaitForMerges() } -> std::same_as<void>;
     };
-
-/// Type-erased ConcurrentWritableRangeIndex, mirroring
-/// AnyWritableRangeIndexOf but keeping the concurrent surface
-/// (RequestMerge / WaitForMerges / ConcurrentStats) callable through the
-/// erasure — for holders of heterogeneous concurrent indexes (single
-/// front-end vs sharded, different bases) that still need to quiesce
-/// workers or read contention gauges. Note the LIF writable synthesizer
-/// erases its winners into AnyWritableRangeIndexOf (the class-wide
-/// contract that single-threaded candidates also satisfy); use this type
-/// when constructing concurrent indexes directly. Build is not erased
-/// (config types differ); candidates are built concretely and moved in.
-/// The handle itself is as thread-safe as the wrapped index; moving the
-/// handle while ops are in flight is undefined, as for any container.
-template <typename Key>
-class AnyConcurrentWritableIndexOf {
- public:
-  using key_type = Key;
-
-  AnyConcurrentWritableIndexOf() = default;
-
-  template <typename I>
-    requires ConcurrentWritableRangeIndex<std::remove_cvref_t<I>> &&
-             std::same_as<typename std::remove_cvref_t<I>::key_type, Key> &&
-             (!std::same_as<std::remove_cvref_t<I>,
-                            AnyConcurrentWritableIndexOf>)
-  explicit AnyConcurrentWritableIndexOf(I&& impl)
-      : impl_(std::make_unique<Holder<std::remove_cvref_t<I>>>(
-            std::forward<I>(impl))) {}
-
-  AnyConcurrentWritableIndexOf(AnyConcurrentWritableIndexOf&&) noexcept =
-      default;
-  AnyConcurrentWritableIndexOf& operator=(
-      AnyConcurrentWritableIndexOf&&) noexcept = default;
-
-  /// True when no index has been wrapped yet; reads then answer like an
-  /// empty index and writes are dropped (returning false).
-  bool empty() const { return impl_ == nullptr; }
-
-  bool Insert(const Key& key) { return impl_ ? impl_->Insert(key) : false; }
-  bool Erase(const Key& key) { return impl_ ? impl_->Erase(key) : false; }
-  bool Contains(const Key& key) const {
-    return impl_ ? impl_->Contains(key) : false;
-  }
-  size_t Lookup(const Key& key) const {
-    return impl_ ? impl_->Lookup(key) : 0;
-  }
-  size_t LowerBound(const Key& key) const { return Lookup(key); }
-  Approx ApproxPos(const Key& key) const {
-    return impl_ ? impl_->ApproxPos(key) : Approx{};
-  }
-  void LookupBatch(std::span<const Key> keys, std::span<size_t> out) const {
-    if (impl_ != nullptr) {
-      impl_->LookupBatch(keys, out);
-    } else {
-      for (size_t i = 0; i < out.size(); ++i) out[i] = 0;
-    }
-  }
-  std::vector<Key> Scan(const Key& from, size_t limit) const {
-    return impl_ ? impl_->Scan(from, limit) : std::vector<Key>{};
-  }
-  Status Merge() {
-    return impl_ ? impl_->Merge()
-                 : Status::FailedPrecondition(
-                       "AnyConcurrentWritableIndex: empty");
-  }
-  void RequestMerge() {
-    if (impl_ != nullptr) impl_->RequestMerge();
-  }
-  void WaitForMerges() {
-    if (impl_ != nullptr) impl_->WaitForMerges();
-  }
-  size_t size() const { return impl_ ? impl_->size() : 0; }
-  size_t SizeBytes() const { return impl_ ? impl_->SizeBytes() : 0; }
-  WritableIndexStats Stats() const {
-    return impl_ ? impl_->Stats() : WritableIndexStats{};
-  }
-  ConcurrentIndexStats ConcurrentStats() const {
-    return impl_ ? impl_->ConcurrentStats() : ConcurrentIndexStats{};
-  }
-
- private:
-  struct Iface {
-    virtual ~Iface() = default;
-    virtual bool Insert(const Key& key) = 0;
-    virtual bool Erase(const Key& key) = 0;
-    virtual bool Contains(const Key& key) const = 0;
-    virtual size_t Lookup(const Key& key) const = 0;
-    virtual Approx ApproxPos(const Key& key) const = 0;
-    virtual void LookupBatch(std::span<const Key> keys,
-                             std::span<size_t> out) const = 0;
-    virtual std::vector<Key> Scan(const Key& from, size_t limit) const = 0;
-    virtual Status Merge() = 0;
-    virtual void RequestMerge() = 0;
-    virtual void WaitForMerges() = 0;
-    virtual size_t size() const = 0;
-    virtual size_t SizeBytes() const = 0;
-    virtual WritableIndexStats Stats() const = 0;
-    virtual ConcurrentIndexStats ConcurrentStats() const = 0;
-  };
-
-  template <typename I>
-  struct Holder final : Iface {
-    template <typename U>
-    explicit Holder(U&& v) : impl(std::forward<U>(v)) {}
-
-    bool Insert(const Key& key) override { return impl.Insert(key); }
-    bool Erase(const Key& key) override { return impl.Erase(key); }
-    bool Contains(const Key& key) const override {
-      return impl.Contains(key);
-    }
-    size_t Lookup(const Key& key) const override { return impl.Lookup(key); }
-    Approx ApproxPos(const Key& key) const override {
-      return impl.ApproxPos(key);
-    }
-    void LookupBatch(std::span<const Key> keys,
-                     std::span<size_t> out) const override {
-      index::LookupBatch(impl, keys, out);
-    }
-    std::vector<Key> Scan(const Key& from, size_t limit) const override {
-      return impl.Scan(from, limit);
-    }
-    Status Merge() override { return impl.Merge(); }
-    void RequestMerge() override { impl.RequestMerge(); }
-    void WaitForMerges() override { impl.WaitForMerges(); }
-    size_t size() const override { return impl.size(); }
-    size_t SizeBytes() const override { return impl.SizeBytes(); }
-    WritableIndexStats Stats() const override { return impl.Stats(); }
-    ConcurrentIndexStats ConcurrentStats() const override {
-      return impl.ConcurrentStats();
-    }
-
-    I impl;
-  };
-
-  std::unique_ptr<Iface> impl_;
-};
-
-/// The common case: integer-keyed concurrent writable indexes.
-using AnyConcurrentWritableIndex = AnyConcurrentWritableIndexOf<uint64_t>;
 
 }  // namespace li::index
 

@@ -54,10 +54,13 @@ Status EvaluateCandidate(std::span<const uint64_t> keys,
 
 Status SynthesizedIndex::Synthesize(std::span<const uint64_t> keys,
                                     const SynthesisSpec& spec) {
+  // A failed call leaves the empty handle, never the previous winner.
+  winner_ = {};
+  description_.clear();
+  reports_.clear();
   if (keys.empty()) {
     return Status::InvalidArgument("Synthesize: empty key set");
   }
-  reports_.clear();
   const std::vector<uint64_t> key_vec(keys.begin(), keys.end());
   const std::vector<uint64_t> queries =
       data::SampleKeys(key_vec, spec.eval_queries, spec.seed);
@@ -264,10 +267,13 @@ Status MeasureConcurrentPointCandidate(Idx& idx,
 
 Status SynthesizedPointIndex::Synthesize(std::span<const hash::Record> records,
                                          const PointSynthesisSpec& spec) {
+  // A failed call leaves the empty handle, never the previous winner.
+  winner_ = {};
+  description_.clear();
+  reports_.clear();
   if (records.empty()) {
     return Status::InvalidArgument("SynthesizePoint: empty record set");
   }
-  reports_.clear();
   std::vector<uint64_t> keys;
   keys.reserve(records.size());
   for (const hash::Record& r : records) keys.push_back(r.key);
@@ -525,6 +531,10 @@ Status SynthesizedExistenceIndex::Synthesize(
     std::span<const std::string> valid_non_keys,
     std::span<const std::string> eval_non_keys,
     const ExistenceSynthesisSpec& spec) {
+  // A failed call leaves the empty handle, never the previous winner.
+  winner_ = {};
+  description_.clear();
+  reports_.clear();
   if (keys.empty()) {
     return Status::InvalidArgument("SynthesizeExistence: empty key set");
   }
@@ -535,7 +545,6 @@ Status SynthesizedExistenceIndex::Synthesize(
   if (spec.target_fpr <= 0.0 || spec.target_fpr >= 1.0) {
     return Status::InvalidArgument("SynthesizeExistence: bad target FPR");
   }
-  reports_.clear();
   const std::vector<std::string> probes(eval_non_keys.begin(),
                                         eval_non_keys.end());
   const double fpr_cap = spec.target_fpr * spec.fpr_slack;
@@ -717,13 +726,16 @@ Status SynthesizedExistenceIndex::Synthesize(
 
 Status SynthesizedExistenceIndex::SynthesizeRange(
     std::span<const uint64_t> keys, const RangeFilterSynthesisSpec& spec) {
+  // A failed call leaves the empty handle, never the previous winner.
+  range_winner_ = {};
+  range_description_.clear();
+  range_reports_.clear();
   if (keys.empty()) {
     return Status::InvalidArgument("SynthesizeRange: empty key set");
   }
   if (spec.target_range_fpr <= 0.0 || spec.target_range_fpr >= 1.0) {
     return Status::InvalidArgument("SynthesizeRange: bad target range-FPR");
   }
-  range_reports_.clear();
 
   std::vector<uint64_t> sorted(keys.begin(), keys.end());
   std::sort(sorted.begin(), sorted.end());
@@ -877,13 +889,16 @@ void MeasureConcurrentCandidate(Idx& idx, const ReadWriteWorkload& w,
 
 Status SynthesizedWritableIndex::Synthesize(std::span<const uint64_t> keys,
                                             const WritableSynthesisSpec& spec) {
+  // A failed call leaves the empty handle, never the previous winner.
+  winner_ = {};
+  description_.clear();
+  reports_.clear();
   if (keys.empty()) {
     return Status::InvalidArgument("SynthesizeWritable: empty key set");
   }
   if (spec.insert_ratio < 0.0 || spec.insert_ratio > 1.0) {
     return Status::InvalidArgument("SynthesizeWritable: bad insert ratio");
   }
-  reports_.clear();
   const ReadWriteWorkload w = MakeReadWriteWorkload(
       keys, spec.eval_ops, spec.insert_ratio, spec.eval_ops, spec.seed);
 

@@ -2,7 +2,7 @@
 //
 // The paper's "model is the index" claim lives on predict throughput, so
 // the batched inner loops (top-model routing, leaf linear predict, the
-// bounded last-mile search, and learned/random hash slot computation) are
+// bounded last-mile search, and the key-to-feature conversion) are
 // implemented as data-parallel kernels at three ISA levels:
 //
 //   * scalar   — always compiled; the reference semantics.
@@ -18,7 +18,7 @@
 // works even in portable `LI_NATIVE_ARCH=OFF` builds.
 //
 // Bit-exactness contract: every kernel implements the scalar reference
-// spec below (`ScalarRoute1` / `ScalarPredict1` / `ScalarHashSlot` / ...)
+// spec below (`ScalarRoute1` / `ScalarPredict1` / ...)
 // with the same IEEE-754 operation sequence — explicit fma, floor, min —
 // so all levels produce identical outputs for identical inputs. This is
 // load-bearing: hash maps compute home slots during Build with the scalar
@@ -98,16 +98,6 @@ struct Kernels {
   /// extraction for integer keys), bit-identical to a scalar
   /// static_cast<double> over the full 64-bit range.
   void (*u64_to_f64)(const uint64_t* keys, size_t n, double* xs);
-
-  /// Random-hash slot batch: slots[i] = mulhi64(fmix64(keys[i] ^ seed),
-  /// num_slots) — the RandomHash operator() over a batch.
-  void (*hash_slots)(const uint64_t* keys, size_t n, uint64_t seed,
-                     uint64_t num_slots, uint64_t* slots);
-
-  /// Cuckoo candidate-bucket batch: b1/b2 per CuckooMap::Buckets minus the
-  /// distinct-bucket fix-up (callers patch b2 == b1 scalarly).
-  void (*cuckoo_slots)(const uint64_t* keys, size_t n, uint64_t seed,
-                       uint64_t num_buckets, uint64_t* b1, uint64_t* b2);
 };
 
 /// The table for the active level (detected, env-overridden, or forced).
@@ -204,13 +194,17 @@ inline uint64_t MulHi64(uint64_t a, uint64_t b) {
       (static_cast<unsigned __int128>(a) * b) >> 64);
 }
 
-/// Random-hash slot: see Kernels::hash_slots.
+/// Random-hash slot: mulhi64(fmix64(key ^ seed), num_slots). Random and
+/// cuckoo slots have no vector kernel: on the full map probe, 4- and
+/// 8-lane versions measured no faster than this per-key code
+/// (docs/SIMD.md).
 inline uint64_t ScalarHashSlot(uint64_t key, uint64_t seed,
                                uint64_t num_slots) {
   return MulHi64(Murmur3Fmix64(key ^ seed), num_slots);
 }
 
-/// Cuckoo candidate buckets: see Kernels::cuckoo_slots.
+/// Cuckoo candidate buckets b1/b2, before CuckooMap's distinct-bucket
+/// fix-up.
 inline void ScalarCuckooSlots(uint64_t key, uint64_t seed,
                               uint64_t num_buckets, uint64_t* b1,
                               uint64_t* b2) {

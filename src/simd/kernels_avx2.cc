@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/bits.h"
 #include "simd/dispatch.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -48,41 +47,6 @@ inline __m256i F64ToU64Small(__m256d r) {
   const __m256d magic = _mm256_set1_pd(kTwo52);
   return _mm256_sub_epi64(_mm256_castpd_si256(_mm256_add_pd(r, magic)),
                           _mm256_castpd_si256(magic));
-}
-
-// 64x64 -> low 64 multiply from 32-bit partial products.
-inline __m256i MulLo64(__m256i a, __m256i b) {
-  const __m256i a_hi = _mm256_srli_epi64(a, 32);
-  const __m256i b_hi = _mm256_srli_epi64(b, 32);
-  const __m256i lo = _mm256_mul_epu32(a, b);
-  const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(a_hi, b),
-                                         _mm256_mul_epu32(a, b_hi));
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-// 64x64 -> high 64 multiply (the multiply-shift slot reduction). Partial
-// products with an explicit carry chain; no intermediate overflows.
-inline __m256i MulHi64v(__m256i a, __m256i m) {
-  const __m256i mask32 = _mm256_set1_epi64x(0xFFFFFFFFll);
-  const __m256i ah = _mm256_srli_epi64(a, 32);
-  const __m256i mh = _mm256_srli_epi64(m, 32);
-  const __m256i t = _mm256_srli_epi64(_mm256_mul_epu32(a, m), 32);
-  const __m256i u = _mm256_add_epi64(_mm256_mul_epu32(ah, m), t);
-  const __m256i v = _mm256_add_epi64(_mm256_mul_epu32(a, mh),
-                                     _mm256_and_si256(u, mask32));
-  return _mm256_add_epi64(
-      _mm256_add_epi64(_mm256_mul_epu32(ah, mh), _mm256_srli_epi64(u, 32)),
-      _mm256_srli_epi64(v, 32));
-}
-
-inline __m256i Fmix64v(__m256i k) {
-  k = _mm256_xor_si256(k, _mm256_srli_epi64(k, 33));
-  k = MulLo64(k, _mm256_set1_epi64x(
-                     static_cast<long long>(0xff51afd7ed558ccdULL)));
-  k = _mm256_xor_si256(k, _mm256_srli_epi64(k, 33));
-  k = MulLo64(k, _mm256_set1_epi64x(
-                     static_cast<long long>(0xc4ceb9fe1a85ec53ULL)));
-  return _mm256_xor_si256(k, _mm256_srli_epi64(k, 33));
 }
 
 void RouteAvx2(const double* xs, size_t n, double slope, double intercept,
@@ -253,43 +217,6 @@ void U64ToF64Avx2(const uint64_t* keys, size_t n, double* xs) {
   for (; i < n; ++i) xs[i] = static_cast<double>(keys[i]);
 }
 
-void HashSlotsAvx2(const uint64_t* keys, size_t n, uint64_t seed,
-                   uint64_t num_slots, uint64_t* slots) {
-  const __m256i vseed = _mm256_set1_epi64x(static_cast<long long>(seed));
-  const __m256i vm = _mm256_set1_epi64x(static_cast<long long>(num_slots));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i k = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i)),
-        vseed);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(slots + i),
-                        MulHi64v(Fmix64v(k), vm));
-  }
-  for (; i < n; ++i) slots[i] = ScalarHashSlot(keys[i], seed, num_slots);
-}
-
-void CuckooSlotsAvx2(const uint64_t* keys, size_t n, uint64_t seed,
-                     uint64_t num_buckets, uint64_t* b1, uint64_t* b2) {
-  const __m256i vseed = _mm256_set1_epi64x(static_cast<long long>(seed));
-  const __m256i vadd = _mm256_set1_epi64x(
-      static_cast<long long>(0x9e3779b97f4a7c15ULL + seed));
-  const __m256i vm = _mm256_set1_epi64x(static_cast<long long>(num_buckets));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i k =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(b1 + i),
-        MulHi64v(Fmix64v(_mm256_xor_si256(k, vseed)), vm));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(b2 + i),
-        MulHi64v(Fmix64v(_mm256_add_epi64(k, vadd)), vm));
-  }
-  for (; i < n; ++i) {
-    ScalarCuckooSlots(keys[i], seed, num_buckets, &b1[i], &b2[i]);
-  }
-}
-
 }  // namespace
 
 const Kernels* Avx2Kernels() {
@@ -297,7 +224,7 @@ const Kernels* Avx2Kernels() {
       "avx2",          RouteAvx2,        PredictRunAvx2,
       LowerBoundU64Avx2, LowerBoundF64Avx2, UpperBoundU64Avx2,
       LowerBoundU64MultiAvx2, LowerBoundF64MultiAvx2,
-      U64ToF64Avx2,    HashSlotsAvx2,    CuckooSlotsAvx2,
+      U64ToF64Avx2,
   };
   return &kTable;
 }

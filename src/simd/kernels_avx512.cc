@@ -1,7 +1,7 @@
 // AVX-512 kernel table: 8 x 64-bit lanes. Compiled with -mavx512f
 // -mavx512dq via per-file CMake flags; dispatch gates this level on both
 // CPUID bits (F for the 512-bit lanes and masks, DQ for the native
-// uint64<->double conversions and 64-bit multiplies).
+// uint64<->double conversions).
 //
 // Same bit-exactness contract as kernels_avx2.cc: the scalar spec's IEEE
 // operation sequence, lane-wise. AVX-512DQ has native pd<->epu64
@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/bits.h"
 #include "simd/dispatch.h"
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
@@ -19,31 +18,6 @@
 
 namespace li::simd {
 namespace {
-
-// 64x64 -> high 64 multiply from 32-bit partial products (no native
-// vpmulhuq exists at any ISA level).
-inline __m512i MulHi64v(__m512i a, __m512i m) {
-  const __m512i mask32 = _mm512_set1_epi64(0xFFFFFFFFll);
-  const __m512i ah = _mm512_srli_epi64(a, 32);
-  const __m512i mh = _mm512_srli_epi64(m, 32);
-  const __m512i t = _mm512_srli_epi64(_mm512_mul_epu32(a, m), 32);
-  const __m512i u = _mm512_add_epi64(_mm512_mul_epu32(ah, m), t);
-  const __m512i v = _mm512_add_epi64(_mm512_mul_epu32(a, mh),
-                                     _mm512_and_si512(u, mask32));
-  return _mm512_add_epi64(
-      _mm512_add_epi64(_mm512_mul_epu32(ah, mh), _mm512_srli_epi64(u, 32)),
-      _mm512_srli_epi64(v, 32));
-}
-
-inline __m512i Fmix64v(__m512i k) {
-  k = _mm512_xor_si512(k, _mm512_srli_epi64(k, 33));
-  k = _mm512_mullo_epi64(k, _mm512_set1_epi64(static_cast<long long>(
-                                0xff51afd7ed558ccdULL)));
-  k = _mm512_xor_si512(k, _mm512_srli_epi64(k, 33));
-  k = _mm512_mullo_epi64(k, _mm512_set1_epi64(static_cast<long long>(
-                                0xc4ceb9fe1a85ec53ULL)));
-  return _mm512_xor_si512(k, _mm512_srli_epi64(k, 33));
-}
 
 void RouteAvx512(const double* xs, size_t n, double slope, double intercept,
                  double factor, uint32_t max_leaf, uint32_t* leaves) {
@@ -239,38 +213,6 @@ void U64ToF64Avx512(const uint64_t* keys, size_t n, double* xs) {
   for (; i < n; ++i) xs[i] = static_cast<double>(keys[i]);
 }
 
-void HashSlotsAvx512(const uint64_t* keys, size_t n, uint64_t seed,
-                     uint64_t num_slots, uint64_t* slots) {
-  const __m512i vseed = _mm512_set1_epi64(static_cast<long long>(seed));
-  const __m512i vm = _mm512_set1_epi64(static_cast<long long>(num_slots));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i k =
-        _mm512_xor_si512(_mm512_loadu_si512(keys + i), vseed);
-    _mm512_storeu_si512(slots + i, MulHi64v(Fmix64v(k), vm));
-  }
-  for (; i < n; ++i) slots[i] = ScalarHashSlot(keys[i], seed, num_slots);
-}
-
-void CuckooSlotsAvx512(const uint64_t* keys, size_t n, uint64_t seed,
-                       uint64_t num_buckets, uint64_t* b1, uint64_t* b2) {
-  const __m512i vseed = _mm512_set1_epi64(static_cast<long long>(seed));
-  const __m512i vadd = _mm512_set1_epi64(
-      static_cast<long long>(0x9e3779b97f4a7c15ULL + seed));
-  const __m512i vm = _mm512_set1_epi64(static_cast<long long>(num_buckets));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i k = _mm512_loadu_si512(keys + i);
-    _mm512_storeu_si512(b1 + i,
-                        MulHi64v(Fmix64v(_mm512_xor_si512(k, vseed)), vm));
-    _mm512_storeu_si512(b2 + i,
-                        MulHi64v(Fmix64v(_mm512_add_epi64(k, vadd)), vm));
-  }
-  for (; i < n; ++i) {
-    ScalarCuckooSlots(keys[i], seed, num_buckets, &b1[i], &b2[i]);
-  }
-}
-
 }  // namespace
 
 const Kernels* Avx512Kernels() {
@@ -278,7 +220,7 @@ const Kernels* Avx512Kernels() {
       "avx512",          RouteAvx512,        PredictRunAvx512,
       LowerBoundU64Avx512, LowerBoundF64Avx512, UpperBoundU64Avx512,
       LowerBoundU64MultiAvx512, LowerBoundF64MultiAvx512,
-      U64ToF64Avx512,    HashSlotsAvx512,    CuckooSlotsAvx512,
+      U64ToF64Avx512,
   };
   return &kTable;
 }

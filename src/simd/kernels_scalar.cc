@@ -101,20 +101,6 @@ void U64ToF64Scalar(const uint64_t* keys, size_t n, double* xs) {
   }
 }
 
-void HashSlotsScalar(const uint64_t* keys, size_t n, uint64_t seed,
-                     uint64_t num_slots, uint64_t* slots) {
-  for (size_t i = 0; i < n; ++i) {
-    slots[i] = ScalarHashSlot(keys[i], seed, num_slots);
-  }
-}
-
-void CuckooSlotsScalar(const uint64_t* keys, size_t n, uint64_t seed,
-                       uint64_t num_buckets, uint64_t* b1, uint64_t* b2) {
-  for (size_t i = 0; i < n; ++i) {
-    ScalarCuckooSlots(keys[i], seed, num_buckets, &b1[i], &b2[i]);
-  }
-}
-
 }  // namespace
 
 const Kernels& ScalarKernels() {
@@ -122,7 +108,7 @@ const Kernels& ScalarKernels() {
       "scalar",        RouteScalar,        PredictRunScalar,
       LowerBoundU64Scalar, LowerBoundF64Scalar, UpperBoundU64Scalar,
       LowerBoundU64MultiScalar, LowerBoundF64MultiScalar,
-      U64ToF64Scalar,  HashSlotsScalar,    CuckooSlotsScalar,
+      U64ToF64Scalar,
   };
   return kTable;
 }

@@ -340,20 +340,19 @@ TEST(ConcurrentIndexTest, FailedBuildLeavesSafeNeverBuiltState) {
   EXPECT_EQ(idx.size(), 4u);
 }
 
-TEST(ConcurrentIndexTest, TypeErasureRoundTrip) {
+TEST(ConcurrentIndexTest, RequestMergeThenWaitFoldsOnce) {
   const auto keys = SeedKeys(2'000, 23);
   ConcRmi idx;
   ASSERT_TRUE(idx.Build(keys, ManualConfig(keys.size())).ok());
-  index::AnyConcurrentWritableIndex any(std::move(idx));
-  EXPECT_FALSE(any.empty());
   const uint64_t fresh = keys.back() + 5;
-  EXPECT_TRUE(any.Insert(fresh));
-  EXPECT_TRUE(any.Contains(fresh));
-  any.RequestMerge();
-  any.WaitForMerges();
-  EXPECT_EQ(any.Stats().merges, 1u);
-  EXPECT_EQ(any.ConcurrentStats().shards, 1u);
-  EXPECT_EQ(any.size(), keys.size() + 1);
+  EXPECT_TRUE(idx.Insert(fresh));
+  EXPECT_TRUE(idx.Contains(fresh));
+  idx.RequestMerge();
+  idx.WaitForMerges();
+  EXPECT_EQ(idx.Stats().merges, 1u);
+  EXPECT_EQ(idx.ConcurrentStats().shards, 1u);
+  EXPECT_EQ(idx.size(), keys.size() + 1);
+  EXPECT_TRUE(idx.Contains(fresh));
 }
 
 // ---- ShardedIndex ----
@@ -432,9 +431,6 @@ TEST(ShardedIndexTest, StatsAggregateAcrossShards) {
   EXPECT_EQ(cs.inserts, 1'000u);
   EXPECT_GT(cs.merges, 0u);
   EXPECT_GT(cs.states_published, 0u);
-  // Type erasure accepts the sharded wrapper too.
-  index::AnyConcurrentWritableIndex any(std::move(idx));
-  EXPECT_EQ(any.ConcurrentStats().shards, 4u);
 }
 
 TEST(ShardedIndexTest, SingleShardDegeneratesGracefully) {

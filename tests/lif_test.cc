@@ -83,6 +83,25 @@ TEST(SynthesizerTest, ImpossibleBudgetFails) {
   EXPECT_FALSE(index.Synthesize(keys, spec).ok());
 }
 
+// A failed re-synthesis must not keep serving the previous call's winner.
+TEST(SynthesizerTest, FailedResynthesisLeavesEmptyHandle) {
+  const auto keys = data::GenLognormal(10'000, 63);
+  SynthesisSpec spec;
+  spec.stage2_sizes = {100};
+  spec.nn_hidden = {};
+  spec.try_multivariate_top = false;
+  spec.eval_queries = 500;
+  SynthesizedIndex index;
+  ASSERT_TRUE(index.Synthesize(keys, spec).ok());
+  ASSERT_FALSE(index.description().empty());
+  ASSERT_GT(index.SizeBytes(), 0u);
+  spec.size_budget_bytes = 16;  // nothing fits
+  EXPECT_EQ(index.Synthesize(keys, spec).code(), StatusCode::kNotFound);
+  EXPECT_TRUE(index.description().empty());
+  EXPECT_EQ(index.SizeBytes(), 0u);
+  EXPECT_EQ(index.LowerBound(keys[keys.size() / 2]), 0u);
+}
+
 TEST(SynthesizerTest, EmptyKeysRejected) {
   SynthesizedIndex index;
   EXPECT_FALSE(index.Synthesize({}, SynthesisSpec{}).ok());
@@ -466,6 +485,20 @@ TEST_F(ExistenceSynthesizerTest, RangeAxisSweepsFiltersAndKeepsZeroFn) {
 
   // The point sweep is untouched by the range sweep and vice versa.
   EXPECT_TRUE(index.reports().empty());
+}
+
+TEST_F(ExistenceSynthesizerTest, FailedRangeResynthesisLeavesEmptyHandle) {
+  const std::vector<uint64_t> keys = rangefilter::GenUniformKeys(1'000, 84);
+  RangeFilterSynthesisSpec spec;
+  SynthesizedExistenceIndex index;
+  ASSERT_TRUE(index.SynthesizeRange(keys, spec).ok());
+  ASSERT_FALSE(index.range_description().empty());
+  ASSERT_TRUE(index.MightContainRange(0, ~uint64_t{0}));
+  spec.size_budget_bytes = 1;
+  EXPECT_EQ(index.SynthesizeRange(keys, spec).code(), StatusCode::kNotFound);
+  EXPECT_TRUE(index.range_description().empty());
+  EXPECT_EQ(index.RangeSizeBytes(), 0u);
+  EXPECT_FALSE(index.MightContainRange(0, ~uint64_t{0}));
 }
 
 TEST_F(ExistenceSynthesizerTest, RangeAxisRejectsBadInputs) {

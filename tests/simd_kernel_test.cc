@@ -285,32 +285,6 @@ TEST(SimdKernelTest, U64ToF64MatchesStaticCastOverFullRange) {
   }
 }
 
-TEST(SimdKernelTest, HashAndCuckooSlotsMatchScalar) {
-  const Kernels& ref = KernelsFor(Level::kScalar);
-  for (const Level level : SupportedLevels()) {
-    const Kernels& k = KernelsFor(level);
-    for (const size_t n : kBatchSizes) {
-      const auto keys = EdgeUints(n, 4000 + n);
-      for (const uint64_t slots :
-           {uint64_t{1}, uint64_t{2}, uint64_t{1000},
-            uint64_t{1} << 32, std::numeric_limits<uint64_t>::max()}) {
-        std::vector<uint64_t> got(n + 1, 7), want(n + 1, 7);
-        k.hash_slots(keys.data(), n, /*seed=*/5, slots, got.data());
-        ref.hash_slots(keys.data(), n, /*seed=*/5, slots, want.data());
-        ASSERT_EQ(got, want) << k.name << " n=" << n << " slots=" << slots;
-        std::vector<uint64_t> g1(n + 1, 7), g2(n + 1, 7), w1(n + 1, 7),
-            w2(n + 1, 7);
-        k.cuckoo_slots(keys.data(), n, /*seed=*/9, slots, g1.data(),
-                       g2.data());
-        ref.cuckoo_slots(keys.data(), n, /*seed=*/9, slots, w1.data(),
-                         w2.data());
-        ASSERT_EQ(g1, w1) << k.name;
-        ASSERT_EQ(g2, w2) << k.name;
-      }
-    }
-  }
-}
-
 // ---- end-to-end: the batch entry points at every forced level ----------
 
 TEST(SimdEndToEndTest, RmiLookupBatchBitExactAcrossLevels) {

@@ -56,12 +56,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -71,6 +70,7 @@
 #include "concurrent/versioned.h"
 #include "concurrent/worker.h"
 #include "dynamic/delta_buffer.h"
+#include "dynamic/delta_sections.h"
 #include "dynamic/merge_policy.h"
 #include "index/approx.h"
 #include "index/concurrent_writable_index.h"
@@ -78,7 +78,7 @@
 #include "index/snapshottable.h"
 #include "index/writable_range_index.h"
 #include "snapshot/snapshot.h"
-#include "wal/wal.h"
+#include "wal/key_log.h"
 
 namespace li::concurrent {
 
@@ -176,8 +176,7 @@ class ConcurrentWritableIndex {
   // ---- Durability (index::DurableIndex; docs/DURABILITY.md) ----
 
   /// WAL support needs a flat key type (records carry the raw key bytes).
-  static constexpr bool kDurabilityCapable =
-      std::is_trivially_copyable_v<key_type>;
+  static constexpr bool kDurabilityCapable = wal::KeyLog<key_type>::kCapable;
 
   /// Attach a fresh write-ahead log at cfg.path; subsequent writes are
   /// log-then-apply. Call after Build (or after a snapshot): earlier
@@ -227,8 +226,7 @@ class ConcurrentWritableIndex {
   /// Snapshot support needs a flat key type and a base that can persist
   /// its model against a caller-owned key span (the RMI family).
   static constexpr bool kSnapshotCapable =
-      std::is_trivially_copyable_v<key_type> &&
-      index::DataSpanSnapshottable<Base>;
+      dynamic::kDeltaSnapshotCapable<key_type, Base>;
 
   Status WriteSections(snapshot::SnapshotWriter& writer,
                        const std::string& prefix) const {
@@ -271,13 +269,6 @@ class ConcurrentWritableIndex {
   }
 
  private:
-  struct SnapshotCfg {
-    dynamic::MergePolicy policy{};
-    uint64_t log_cap = 1024;
-  };
-  static_assert(std::is_trivially_copyable_v<dynamic::MergePolicy>,
-                "MergePolicy is persisted verbatim in snapshots");
-
   struct LogEntry {
     key_type key{};
     int8_t net = 0;           // liveness delta of this write: -1 / 0 / +1
@@ -478,7 +469,7 @@ class ConcurrentWritableIndex {
       // order == acknowledgement order, and a crash after the append
       // but before the publish at worst replays a write the caller was
       // never acked for (safe: replay goes through this same path).
-      WalAppendLocked(key, tombstone);
+      log_.Append(key, tombstone);
       State* s = versions_.Current();
       uint32_t n = s->log_count.load(std::memory_order_relaxed);
       if (n == s->log_cap) {
@@ -509,252 +500,114 @@ class ConcurrentWritableIndex {
 
     Status WriteSections(snapshot::SnapshotWriter& writer,
                          const std::string& prefix) const {
-      if constexpr (!kSnapshotCapable) {
-        return Status::Unimplemented(
-            "ConcurrentWritableIndex snapshots need a flat key type and a "
-            "section-snapshottable base");
-      } else {
-        // Capture a consistent point-in-time version under the writer
-        // mutex: writers and merge publishes are excluded for the O(delta)
-        // fold only; readers are undisturbed.
-        std::shared_ptr<const std::vector<key_type>> keys;
-        std::shared_ptr<const Base> base;
-        std::vector<dynamic::DeltaEntry<key_type>> folded;
-        SnapshotCfg cfg;
-        wal::WalSnapshotMeta wal_meta;
-        bool durable = false;
-        {
-          const auto lk = versions_.Lock();
-          const State* s = versions_.Current();
-          if (s == nullptr) {
-            return Status::FailedPrecondition(
-                "ConcurrentWritableIndex: not built");
-          }
-          const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-          // Redundancy drop is legal here regardless of a pending rebase:
-          // the snapshot pairs the fold with this *same* captured base.
-          folded = FoldedEntries(*s, n, /*drop_redundant=*/true);
-          keys = s->base_keys;
-          base = s->base;
-          cfg.policy = config_.policy;
-          cfg.log_cap = config_.log_cap;
-          if (wal_ != nullptr) {
-            // Every record up to last_lsn is reflected in this capture
-            // (appends serialize on the same mutex), so the snapshot
-            // covers it and truncation behind it is safe after publish.
-            wal_meta.covered_lsn = wal_->stats().last_lsn;
-            snapshot_covered_lsn_ = wal_meta.covered_lsn;
-            durable = true;
-          }
+      // Capture a consistent point-in-time version under the writer mutex:
+      // writers and merge publishes are excluded for the O(delta) fold
+      // only; readers are undisturbed.
+      std::shared_ptr<const std::vector<key_type>> keys;
+      std::shared_ptr<const Base> base;
+      std::vector<dynamic::DeltaEntry<key_type>> folded;
+      std::optional<wal::WalSnapshotMeta> wal_meta;
+      {
+        const auto lk = versions_.Lock();
+        const State* s = versions_.Current();
+        if (s == nullptr) {
+          return Status::FailedPrecondition(
+              "ConcurrentWritableIndex: not built");
         }
-        // Serialization outside the lock: every captured piece is
-        // immutable and shared_ptr-pinned (a concurrent merge may retire
-        // the version, not free these).
-        LI_RETURN_IF_ERROR(writer.AddPod(prefix + "cfg", cfg));
-        if (durable) {
-          LI_RETURN_IF_ERROR(writer.AddPod(prefix + "wal", wal_meta));
-        }
-        LI_RETURN_IF_ERROR(
-            writer.AddArray(prefix + "keys", std::span<const key_type>(*keys),
-                            snapshot::SectionKind::kKeys));
-        LI_RETURN_IF_ERROR(base->WriteSections(writer, prefix + "base/",
-                                               /*include_keys=*/false));
-        std::vector<key_type> dkeys;
-        std::vector<uint8_t> dmeta;
-        dkeys.reserve(folded.size());
-        dmeta.reserve(folded.size());
-        for (const dynamic::DeltaEntry<key_type>& e : folded) {
-          dkeys.push_back(e.key);
-          dmeta.push_back(static_cast<uint8_t>((e.tombstone ? 1 : 0) |
-                                               (e.in_base ? 2 : 0)));
-        }
-        LI_RETURN_IF_ERROR(
-            writer.AddArray(prefix + "dkeys", std::span<const key_type>(dkeys),
-                            snapshot::SectionKind::kDelta));
-        return writer.AddArray(prefix + "dmeta",
-                               std::span<const uint8_t>(dmeta),
-                               snapshot::SectionKind::kDelta);
+        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
+        // Redundancy drop is legal here regardless of a pending rebase:
+        // the snapshot pairs the fold with this *same* captured base.
+        folded = FoldedEntries(*s, n, /*drop_redundant=*/true);
+        keys = s->base_keys;
+        base = s->base;
+        // Every record up to the last LSN is reflected in this capture
+        // (appends serialize on the same mutex), so the snapshot covers
+        // it and truncation behind it is safe after publish.
+        wal_meta = log_.CoverForSnapshot();
       }
+      // Serialization outside the lock: every captured piece is immutable
+      // and shared_ptr-pinned (a concurrent merge may retire the version,
+      // not free these).
+      return dynamic::WriteDeltaSections(
+          writer, prefix,
+          dynamic::DeltaSnapshotCfg{config_.policy, config_.log_cap},
+          wal_meta, std::span<const key_type>(*keys), *base,
+          std::span<const dynamic::DeltaEntry<key_type>>(folded));
     }
 
     /// Rebuilds a live index from snapshot sections: fresh Impl only
     /// (build-then-share discipline, same as Build).
     Status LoadSections(const snapshot::SnapshotReader& reader,
                         const std::string& prefix) {
-      if constexpr (!kSnapshotCapable) {
-        return Status::Unimplemented(
-            "ConcurrentWritableIndex snapshots need a flat key type and a "
-            "section-snapshottable base");
-      } else {
-        SnapshotCfg cfg;
-        LI_RETURN_IF_ERROR(reader.GetPod(prefix + "cfg", &cfg));
-        auto keys = reader.GetArray<key_type>(prefix + "keys");
-        if (!keys.ok()) return keys.status();
-        auto dkeys = reader.GetArray<key_type>(prefix + "dkeys");
-        if (!dkeys.ok()) return dkeys.status();
-        auto dmeta = reader.GetArray<uint8_t>(prefix + "dmeta");
-        if (!dmeta.ok()) return dmeta.status();
-        if (dkeys.value().size() != dmeta.value().size()) {
-          return Status::InvalidArgument(
-              "ConcurrentWritableIndex snapshot delta arrays disagree in "
-              "size");
-        }
-        // Copied, not mapped: merges replace the key array after restart.
-        auto bk = std::make_shared<std::vector<key_type>>(
-            keys.value().begin(), keys.value().end());
-        auto base = std::make_shared<Base>();
-        LI_RETURN_IF_ERROR(base->LoadSections(
-            reader, prefix + "base/", std::span<const key_type>(*bk)));
-        std::vector<dynamic::DeltaEntry<key_type>> entries;
-        entries.reserve(dkeys.value().size());
-        for (size_t i = 0; i < dkeys.value().size(); ++i) {
-          const uint8_t m = dmeta.value()[i];
-          if ((m & ~uint8_t{3}) != 0) {
-            return Status::InvalidArgument(
-                "ConcurrentWritableIndex snapshot delta flags are corrupt");
-          }
-          entries.push_back(dynamic::DeltaEntry<key_type>{
-              dkeys.value()[i], (m & 1) != 0, (m & 2) != 0});
-        }
-        wal::WalSnapshotMeta wal_meta;  // absent in pre-durability snaps
-        const Status wal_st = reader.GetPod(prefix + "wal", &wal_meta);
-        if (wal_st.ok()) {
-          covered_lsn_ = wal_meta.covered_lsn;
-        } else if (wal_st.code() == StatusCode::kNotFound) {
-          covered_lsn_ = 0;
-        } else {
-          return wal_st;
-        }
-        config_.policy = cfg.policy;
-        config_.log_cap = std::max<size_t>(cfg.log_cap, 2);
-        if constexpr (requires {
-                        {
-                          base->config()
-                        } -> std::convertible_to<base_config_type>;
-                      }) {
-          config_.base = base->config();
-        }
-        auto s = std::make_unique<State>(config_.log_cap);
-        s->base_keys = std::move(bk);
-        s->base = std::move(base);
-        s->frozen = dynamic::DeltaBuffer<key_type>::FromSortedEntries(
-            std::span<const dynamic::DeltaEntry<key_type>>(entries), 2);
-        const int64_t live = static_cast<int64_t>(s->base_keys->size()) +
-                             s->frozen.LiveAdjustTotal();
-        versions_.Install(std::move(s));
-        live_count_.store(live, std::memory_order_relaxed);
-        worker_.Start([this] { return DoBackgroundMerge(); });
-        return Status::OK();
+      auto base = std::make_shared<Base>();
+      dynamic::DeltaSections<key_type> loaded;
+      LI_RETURN_IF_ERROR(
+          dynamic::ReadDeltaSections(reader, prefix, base.get(), &loaded));
+      log_ = wal::KeyLog<key_type>(loaded.covered_lsn);
+      config_.policy = loaded.cfg.policy;
+      config_.log_cap = loaded.cfg.buffer_cap;
+      if constexpr (requires {
+                      {
+                        base->config()
+                      } -> std::convertible_to<base_config_type>;
+                    }) {
+        config_.base = base->config();
       }
+      auto s = std::make_unique<State>(config_.log_cap);
+      // Moving the vector keeps its buffer, which the base spans.
+      s->base_keys =
+          std::make_shared<std::vector<key_type>>(std::move(loaded.keys));
+      s->base = std::move(base);
+      s->frozen = dynamic::DeltaBuffer<key_type>::FromSortedEntries(
+          std::span<const dynamic::DeltaEntry<key_type>>(loaded.delta), 2);
+      const int64_t live = static_cast<int64_t>(s->base_keys->size()) +
+                           s->frozen.LiveAdjustTotal();
+      versions_.Install(std::move(s));
+      live_count_.store(live, std::memory_order_relaxed);
+      worker_.Start([this] { return DoBackgroundMerge(); });
+      return Status::OK();
     }
 
     // ---- durability ----
+    // The log lifecycle lives in wal::KeyLog; this class adds only the
+    // locking: every call runs under the writer mutex except the replay,
+    // which goes through Write (and so takes the mutex per record).
 
     Status EnableDurability(const wal::DurabilityConfig& cfg) {
-      if constexpr (!kDurabilityCapable) {
-        return Status::Unimplemented(
-            "ConcurrentWritableIndex durability needs a flat key type");
-      } else {
-        const auto lk = versions_.Lock();
-        if (wal_ != nullptr) {
-          return Status::FailedPrecondition("durability already enabled");
-        }
-        auto w = wal::WalWriter::Create(cfg.path, covered_lsn_,
-                                        sizeof(key_type), cfg);
-        if (!w.ok()) return w.status();
-        wal_ = std::make_unique<wal::WalWriter>(w.take());
-        wal_status_ = Status::OK();
-        return Status::OK();
-      }
+      const auto lk = versions_.Lock();
+      return log_.Enable(cfg);
     }
 
     Status RecoverFromWal(const wal::DurabilityConfig& cfg) {
-      if constexpr (!kDurabilityCapable) {
-        return Status::Unimplemented(
-            "ConcurrentWritableIndex durability needs a flat key type");
-      } else {
-        {
-          const auto lk = versions_.Lock();
-          if (wal_ != nullptr) {
-            return Status::FailedPrecondition("durability already enabled");
-          }
-        }
-        const uint64_t covered = covered_lsn_;
-        // Replay through the normal write path (no wal_ attached yet, so
-        // nothing re-logs); recovery is single-threaded by contract.
-        auto replay = wal::Replay(
-            cfg.path,
-            [&](wal::WalRecordType type, uint64_t lsn, const void* payload,
-                size_t len) -> Status {
-              if (len != sizeof(key_type)) {
-                return Status::InvalidArgument("WAL record size mismatch");
-              }
-              if (lsn <= covered) return Status::OK();
-              key_type k;
-              std::memcpy(&k, payload, sizeof(k));
-              Write(k, type == wal::WalRecordType::kErase);
-              return Status::OK();
-            });
-        if (!replay.ok()) {
-          if (replay.status().code() == StatusCode::kNotFound) {
-            return EnableDurability(cfg);  // no log yet: start one
-          }
-          return replay.status();
-        }
-        if (replay.value().base_lsn > covered) {
-          return Status::InvalidArgument(
-              "WAL gap: log starts past the snapshot's covered LSN");
-        }
-        auto w = wal::WalWriter::Open(cfg.path, cfg, nullptr);
-        if (!w.ok()) return w.status();
-        const auto lk = versions_.Lock();
-        wal_ = std::make_unique<wal::WalWriter>(w.take());
-        wal_status_ = Status::OK();
-        if (wal_->stats().last_lsn < covered) {
-          // Stale log older than the snapshot: rotate so LSNs cannot
-          // regress below the watermark.
-          LI_RETURN_IF_ERROR(wal_->ResetTo(covered));
-        }
-        covered_lsn_ = wal_->stats().last_lsn;
-        return Status::OK();
-      }
-    }
-
-    void WalAppendLocked(const key_type& key, bool tombstone) {
-      if (wal_ == nullptr) return;
-      if constexpr (kDurabilityCapable) {
-        auto r = wal_->Append(tombstone ? wal::WalRecordType::kErase
-                                        : wal::WalRecordType::kInsert,
-                              &key, sizeof(key));
-        if (!r.ok()) wal_status_ = r.status();
-      }
+      return log_.Recover(
+          cfg, [this] { return versions_.Lock(); },
+          [this](const key_type& k, bool tombstone) { Write(k, tombstone); });
     }
 
     Status TruncateWalAfterPublish() const {
-      const auto lk = versions_.Lock();
-      if (wal_ == nullptr) return Status::OK();
       // Under the writer mutex no append can race the rotation scan.
-      return wal_->ResetTo(snapshot_covered_lsn_);
+      const auto lk = versions_.Lock();
+      return log_.TruncateAfterPublish();
     }
 
     bool durable() const {
       const auto lk = versions_.Lock();
-      return wal_ != nullptr;
+      return log_.attached();
     }
 
     Status wal_status() const {
       const auto lk = versions_.Lock();
-      return wal_status_;
+      return log_.status();
     }
 
     wal::WalStats DurabilityStats() const {
       const auto lk = versions_.Lock();
-      return wal_ != nullptr ? wal_->stats() : wal::WalStats{};
+      return log_.Stats();
     }
 
     Status SyncWal() {
       const auto lk = versions_.Lock();
-      return wal_ != nullptr ? wal_->Sync() : Status::OK();
+      return log_.Sync();
     }
 
     // ---- stats ----
@@ -1007,12 +860,9 @@ class ConcurrentWritableIndex {
     // only): freeze folds must not drop entries then — see FreezeLocked.
     bool merge_rebase_pending_ = false;
 
-    // Durability (guarded by the writer mutex; mutable because the const
-    // snapshot path stashes the covered LSN and truncates after publish).
-    mutable std::unique_ptr<wal::WalWriter> wal_;
-    Status wal_status_{};
-    uint64_t covered_lsn_ = 0;  // watermark inherited from OpenSnapshot
-    mutable uint64_t snapshot_covered_lsn_ = 0;
+    // Guarded by the writer mutex; mutable because the const snapshot
+    // path stashes the covered LSN and truncates after publish.
+    mutable wal::KeyLog<key_type> log_;
 
     // Last: joined before the members DoBackgroundMerge uses are destroyed.
     Worker worker_;

@@ -558,6 +558,19 @@ class ShardedIndex {
       return Status::OK();
     }
 
+    /// StartServing for a map read back from disk (snapshot load,
+    /// recovery): the inner config is whatever the shards persisted.
+    Status ServeLoaded(std::unique_ptr<ShardMap> map) {
+      if constexpr (requires(const Inner& i) {
+                      {
+                        i.config()
+                      } -> std::convertible_to<inner_config_type>;
+                    }) {
+        config_.inner = map->slots[0]->index.config();
+      }
+      return StartServing(std::move(map));
+    }
+
     // ---- read path ----
 
     size_t Lookup(const key_type& key) const {
@@ -792,18 +805,11 @@ class ShardedIndex {
                                   "'): " + std::strerror(errno));
         }
         dur_cfg_ = cfg;
-        std::vector<key_type> boundaries;
-        std::vector<std::shared_ptr<Slot>> slots;
-        {
-          EpochManager::Guard g(epoch_);
-          const ShardMap* m = map_.load(std::memory_order_seq_cst);
-          boundaries = m->boundaries;
-          slots = m->slots;
-        }
-        for (const auto& slot : slots) {
+        const ShardMap m = MapCopy();
+        for (const auto& slot : m.slots) {
           LI_RETURN_IF_ERROR(AttachShardDurability(*slot));
         }
-        LI_RETURN_IF_ERROR(WriteManifestLocked(boundaries, slots));
+        LI_RETURN_IF_ERROR(WriteManifestLocked(m));
         durable_.store(true, std::memory_order_release);
         return Status::OK();
       }
@@ -821,21 +827,14 @@ class ShardedIndex {
           return Status::FailedPrecondition(
               "ShardedIndex: durability not enabled");
         }
-        std::vector<key_type> boundaries;
-        std::vector<std::shared_ptr<Slot>> slots;
-        {
-          EpochManager::Guard g(epoch_);
-          const ShardMap* m = map_.load(std::memory_order_seq_cst);
-          boundaries = m->boundaries;
-          slots = m->slots;
-        }
-        for (const auto& slot : slots) {
+        const ShardMap m = MapCopy();
+        for (const auto& slot : m.slots) {
           // Atomic per-shard publish (tmp + rename inside), then the
           // inner class truncates its own log behind the covered LSN.
           LI_RETURN_IF_ERROR(
               slot->index.WriteSnapshot(ShardSnapPath(slot->uid)));
         }
-        return WriteManifestLocked(boundaries, slots);
+        return WriteManifestLocked(m);
       }
     }
 
@@ -854,40 +853,17 @@ class ShardedIndex {
         dur_cfg_ = cfg;
         auto reader = snapshot::SnapshotReader::Open(ManifestPath());
         if (!reader.ok()) return reader.status();
-        SnapshotManifest man;
-        LI_RETURN_IF_ERROR(reader.value().GetPod("manifest", &man));
-        if (man.shard_count == 0) {
-          return Status::InvalidArgument(
-              "ShardedIndex MANIFEST has zero shards");
-        }
-        auto bounds = reader.value().template GetArray<key_type>("bounds");
-        if (!bounds.ok()) return bounds.status();
+        auto map = std::make_unique<ShardMap>();
+        LI_RETURN_IF_ERROR(ReadRouting(reader.value(), "", map.get()));
         auto uids = reader.value().template GetArray<uint64_t>("uids");
         if (!uids.ok()) return uids.status();
-        uint64_t next_uid = 0;
-        LI_RETURN_IF_ERROR(reader.value().GetPod("nextuid", &next_uid));
-        if (bounds.value().size() != man.shard_count - 1 ||
-            uids.value().size() != man.shard_count) {
+        if (uids.value().size() != map->boundaries.size() + 1) {
           return Status::InvalidArgument(
-              "ShardedIndex MANIFEST shard count disagrees with its "
-              "bounds/uids sections");
+              "ShardedIndex MANIFEST shard count disagrees with its uids "
+              "section");
         }
-        for (size_t i = 1; i < bounds.value().size(); ++i) {
-          if (!(bounds.value()[i - 1] < bounds.value()[i])) {
-            return Status::InvalidArgument(
-                "ShardedIndex MANIFEST boundaries are not strictly "
-                "increasing");
-          }
-        }
-        config_.num_shards = man.num_shards_cfg;
-        config_.cdf_sample = man.cdf_sample;
-        config_.rebalance = man.rebalance;
-        ClampRebalanceKnobs();
-        next_uid_ = next_uid;
-        auto map = std::make_unique<ShardMap>();
-        map->boundaries.assign(bounds.value().begin(), bounds.value().end());
-        for (size_t i = 0; i < man.shard_count; ++i) {
-          const uint64_t uid = uids.value()[i];
+        LI_RETURN_IF_ERROR(reader.value().GetPod("nextuid", &next_uid_));
+        for (const uint64_t uid : uids.value()) {
           auto inner = Inner::OpenSnapshot(ShardSnapPath(uid));
           if (!inner.ok()) return inner.status();
           auto slot = std::make_shared<Slot>();
@@ -899,19 +875,12 @@ class ShardedIndex {
           LI_RETURN_IF_ERROR(slot->index.RecoverFromWal(ShardCfg(uid)));
           map->slots.push_back(std::move(slot));
         }
-        if constexpr (requires(const Inner& i) {
-                        {
-                          i.config()
-                        } -> std::convertible_to<inner_config_type>;
-                      }) {
-          config_.inner = map->slots[0]->index.config();
-        }
         // Shard files MANIFEST never committed (a rebalance that died
         // before its flip) are garbage: remove them.
         RemoveOrphanShardFiles(
             {uids.value().begin(), uids.value().end()});
         durable_.store(true, std::memory_order_release);
-        return StartServing(std::move(map));
+        return ServeLoaded(std::move(map));
       }
     }
 
@@ -976,25 +945,10 @@ class ShardedIndex {
         // re-runs on a writer trigger, so the capture that follows sees
         // a stable map unless writes keep racing (documented above).
         WaitForRebalances();
-        std::vector<key_type> boundaries;
-        std::vector<std::shared_ptr<Slot>> slots;
-        {
-          EpochManager::Guard g(epoch_);
-          const ShardMap* m = map_.load(std::memory_order_seq_cst);
-          boundaries = m->boundaries;
-          slots = m->slots;  // shared_ptrs outlive the pin
-        }
-        SnapshotManifest man;
-        man.shard_count = slots.size();
-        man.num_shards_cfg = config_.num_shards;
-        man.cdf_sample = config_.cdf_sample;
-        man.rebalance = config_.rebalance;
-        LI_RETURN_IF_ERROR(writer.AddPod(prefix + "manifest", man));
-        LI_RETURN_IF_ERROR(writer.AddArray(
-            prefix + "bounds", std::span<const key_type>(boundaries),
-            snapshot::SectionKind::kManifest));
-        for (size_t i = 0; i < slots.size(); ++i) {
-          LI_RETURN_IF_ERROR(slots[i]->index.WriteSections(
+        const ShardMap m = MapCopy();
+        LI_RETURN_IF_ERROR(WriteRouting(writer, prefix, m));
+        for (size_t i = 0; i < m.slots.size(); ++i) {
+          LI_RETURN_IF_ERROR(m.slots[i]->index.WriteSections(
               writer, prefix + "s" + std::to_string(i) + "/"));
         }
         return Status::OK();
@@ -1010,46 +964,15 @@ class ShardedIndex {
             "ShardedIndex snapshots need a flat key type and a "
             "section-snapshottable inner index");
       } else {
-        SnapshotManifest man;
-        LI_RETURN_IF_ERROR(reader.GetPod(prefix + "manifest", &man));
-        if (man.shard_count == 0) {
-          return Status::InvalidArgument(
-              "ShardedIndex snapshot manifest has zero shards");
-        }
-        auto bounds = reader.GetArray<key_type>(prefix + "bounds");
-        if (!bounds.ok()) return bounds.status();
-        if (bounds.value().size() != man.shard_count - 1) {
-          return Status::InvalidArgument(
-              "ShardedIndex snapshot boundary count disagrees with "
-              "manifest");
-        }
-        for (size_t i = 1; i < bounds.value().size(); ++i) {
-          if (!(bounds.value()[i - 1] < bounds.value()[i])) {
-            return Status::InvalidArgument(
-                "ShardedIndex snapshot boundaries are not strictly "
-                "increasing");
-          }
-        }
-        config_.num_shards = man.num_shards_cfg;
-        config_.cdf_sample = man.cdf_sample;
-        config_.rebalance = man.rebalance;
-        ClampRebalanceKnobs();
         auto map = std::make_unique<ShardMap>();
-        map->boundaries.assign(bounds.value().begin(), bounds.value().end());
-        for (size_t i = 0; i < man.shard_count; ++i) {
+        LI_RETURN_IF_ERROR(ReadRouting(reader, prefix, map.get()));
+        for (size_t i = 0; i <= map->boundaries.size(); ++i) {
           auto slot = std::make_shared<Slot>();
           LI_RETURN_IF_ERROR(slot->index.LoadSections(
               reader, prefix + "s" + std::to_string(i) + "/"));
           map->slots.push_back(std::move(slot));
         }
-        if constexpr (requires(const Inner& i) {
-                        {
-                          i.config()
-                        } -> std::convertible_to<inner_config_type>;
-                      }) {
-          config_.inner = map->slots[0]->index.config();
-        }
-        return StartServing(std::move(map));
+        return ServeLoaded(std::move(map));
       }
     }
 
@@ -1135,6 +1058,60 @@ class ShardedIndex {
     std::vector<std::shared_ptr<Slot>> SlotSnapshot() const {
       EpochManager::Guard g(epoch_);
       return map_.load(std::memory_order_seq_cst)->slots;
+    }
+
+    /// The whole current map, copied the same way (boundaries too).
+    ShardMap MapCopy() const {
+      EpochManager::Guard g(epoch_);
+      return *map_.load(std::memory_order_seq_cst);
+    }
+
+    /// The routing state every persisted form starts with — snapshot
+    /// sections and the durable MANIFEST alike: "<prefix>manifest"
+    /// (shard count + knobs) and "<prefix>bounds".
+    Status WriteRouting(snapshot::SnapshotWriter& writer,
+                        const std::string& prefix, const ShardMap& m) const {
+      SnapshotManifest man;
+      man.shard_count = m.slots.size();
+      man.num_shards_cfg = config_.num_shards;
+      man.cdf_sample = config_.cdf_sample;
+      man.rebalance = config_.rebalance;
+      LI_RETURN_IF_ERROR(writer.AddPod(prefix + "manifest", man));
+      return writer.AddArray(prefix + "bounds",
+                             std::span<const key_type>(m.boundaries),
+                             snapshot::SectionKind::kManifest);
+    }
+
+    /// Reads back what WriteRouting wrote into `map->boundaries` and
+    /// adopts the persisted knobs. A corrupt manifest is a Status: zero
+    /// shards, a boundary count that disagrees, or boundaries that are
+    /// not strictly increasing.
+    Status ReadRouting(const snapshot::SnapshotReader& reader,
+                       const std::string& prefix, ShardMap* map) {
+      SnapshotManifest man;
+      LI_RETURN_IF_ERROR(reader.GetPod(prefix + "manifest", &man));
+      if (man.shard_count == 0) {
+        return Status::InvalidArgument("ShardedIndex manifest has zero shards");
+      }
+      auto bounds = reader.GetArray<key_type>(prefix + "bounds");
+      if (!bounds.ok()) return bounds.status();
+      if (bounds.value().size() != man.shard_count - 1) {
+        return Status::InvalidArgument(
+            "ShardedIndex manifest boundary count disagrees with its shard "
+            "count");
+      }
+      for (size_t i = 1; i < bounds.value().size(); ++i) {
+        if (!(bounds.value()[i - 1] < bounds.value()[i])) {
+          return Status::InvalidArgument(
+              "ShardedIndex manifest boundaries are not strictly increasing");
+        }
+      }
+      config_.num_shards = man.num_shards_cfg;
+      config_.cdf_sample = man.cdf_sample;
+      config_.rebalance = man.rebalance;
+      ClampRebalanceKnobs();
+      map->boundaries.assign(bounds.value().begin(), bounds.value().end());
+      return Status::OK();
     }
 
     /// The rebalancer's decision function — the ONE place the
@@ -1258,24 +1235,14 @@ class ShardedIndex {
     /// Atomically commit the routing state: boundaries + shard uids.
     /// The rename inside WriteFile is the durability commit point for
     /// every rebalance cutover.
-    Status WriteManifestLocked(
-        const std::vector<key_type>& boundaries,
-        const std::vector<std::shared_ptr<Slot>>& slots)
+    Status WriteManifestLocked(const ShardMap& m)
       requires kDurabilityCapable
     {
       snapshot::SnapshotWriter w;
-      SnapshotManifest man;
-      man.shard_count = slots.size();
-      man.num_shards_cfg = config_.num_shards;
-      man.cdf_sample = config_.cdf_sample;
-      man.rebalance = config_.rebalance;
-      LI_RETURN_IF_ERROR(w.AddPod("manifest", man));
-      LI_RETURN_IF_ERROR(
-          w.AddArray("bounds", std::span<const key_type>(boundaries),
-                     snapshot::SectionKind::kManifest));
+      LI_RETURN_IF_ERROR(WriteRouting(w, "", m));
       std::vector<uint64_t> uids;
-      uids.reserve(slots.size());
-      for (const auto& s : slots) uids.push_back(s->uid);
+      uids.reserve(m.slots.size());
+      for (const auto& s : m.slots) uids.push_back(s->uid);
       LI_RETURN_IF_ERROR(w.AddArray("uids", std::span<const uint64_t>(uids),
                                     snapshot::SectionKind::kManifest));
       LI_RETURN_IF_ERROR(w.AddPod("nextuid", next_uid_));
@@ -1323,77 +1290,112 @@ class ShardedIndex {
       }
     }
 
-    /// One split: seal -> snapshot -> build halves -> cutover (replay
-    /// catch-up, publish new map). Readers never block; writers to the
-    /// splitting shard block only during seal and cutover (brief).
-    /// `published` reports whether a new map actually went out (false on
-    /// the nothing-to-cut abort, which unseals and leaves state intact).
-    Status SplitShard(ShardMap* m, size_t s, bool* published) {
+    /// The one shard-replacement cutover behind both rebalance actions:
+    /// replaces the `count` slots starting at `s` in `m` (the current map)
+    /// with `pieces` fresh slots built over their concatenated snapshot,
+    /// cut at equal-count quantiles. A split is 1 -> 2, a coalesce 2 -> 1.
+    ///
+    /// seal -> snapshot -> build -> (durable) attach -> cutover: replay the
+    /// catch-up logs routed by the new boundaries, (durable) sync and
+    /// commit the MANIFEST, publish the new map, retire the old slots.
+    /// Readers never block; writers to the replaced shards block only
+    /// during seal and cutover (brief). Any failure, and the
+    /// nothing-to-cut case, unseals the old slots and drops the new
+    /// files: the old shards stay authoritative, their state intact.
+    /// `published` reports whether a new map actually went out.
+    Status ReplaceShards(ShardMap* m, size_t s, size_t count, size_t pieces,
+                         bool* published) {
       *published = false;
-      std::shared_ptr<Slot> old = m->slots[s];
-      {
+      const auto first = m->slots.begin() + static_cast<ptrdiff_t>(s);
+      const std::vector<std::shared_ptr<Slot>> old(
+          first, first + static_cast<ptrdiff_t>(count));
+      for (const auto& slot : old) {
         // Seal: after this exclusive section every writer dual-writes
         // into the catch-up log, so the snapshot below may be fuzzy
         // about post-seal writes without losing them.
-        std::unique_lock<std::shared_mutex> lk(old->cutover_mu);
-        old->sealed = true;
+        std::unique_lock<std::shared_mutex> lk(slot->cutover_mu);
+        slot->sealed = true;
       }
-      std::vector<key_type> snap = SnapshotKeys(old->index);
-      const size_t half = snap.size() / 2;
-      if (half == 0 || !(snap.front() < snap[half])) {
-        Unseal(*old);  // nothing to cut strictly between
-        return Status::OK();
+      // The old slots cover disjoint ascending ranges: the concatenation
+      // of their snapshots is sorted.
+      std::vector<key_type> snap;
+      for (const auto& slot : old) {
+        std::vector<key_type> part = SnapshotKeys(slot->index);
+        snap.insert(snap.end(), part.begin(), part.end());
       }
-      const key_type mid = snap[half];
-      auto left = std::make_shared<Slot>();
-      auto right = std::make_shared<Slot>();
-      Status st = left->index.Build(
-          std::span<const key_type>(snap).first(half), config_.inner);
-      if (st.ok()) {
-        st = right->index.Build(
-            std::span<const key_type>(snap).subspan(half), config_.inner);
-      }
-      if (!st.ok()) {
-        Unseal(*old);
+      std::vector<std::shared_ptr<Slot>> repl;
+      size_t with_uid = 0;  // replacements that may own files on disk
+      auto abort_cutover = [&](const Status& st) {
+        for (size_t i = 0; i < with_uid; ++i) DropShardFiles(repl[i]->uid);
+        for (const auto& slot : old) Unseal(*slot);
         return st;
+      };
+      // Piece j holds snap[start[j], start[j+1]); cuts[j-1] = its first key.
+      std::vector<size_t> start(pieces + 1);
+      for (size_t j = 0; j <= pieces; ++j) start[j] = j * snap.size() / pieces;
+      std::vector<key_type> cuts;
+      for (size_t j = 1; j < pieces; ++j) {
+        if (start[j] == start[j - 1] ||
+            !(snap[start[j - 1]] < snap[start[j]])) {
+          return abort_cutover(Status::OK());  // nothing to cut between
+        }
+        cuts.push_back(snap[start[j]]);
+      }
+      for (size_t j = 0; j < pieces; ++j) {
+        auto slot = std::make_shared<Slot>();
+        const Status st = slot->index.Build(
+            std::span<const key_type>(snap).subspan(start[j],
+                                                    start[j + 1] - start[j]),
+            config_.inner);
+        if (!st.ok()) return abort_cutover(st);
+        repl.push_back(std::move(slot));
       }
       // Durable cutovers serialize with Checkpoint() on durable_mu_ and
-      // give the halves their own snapshot + fresh log *before* any
-      // catch-up record is replayed, so the replay below lands in the
-      // new logs through the ordinary durable write path.
+      // give the replacements their own snapshot + fresh log *before* any
+      // catch-up record is replayed, so the replay below lands in the new
+      // logs through the ordinary durable write path.
       std::unique_lock<std::mutex> dlk;
       if constexpr (kDurabilityCapable) {
         if (durable_.load(std::memory_order_acquire)) {
           dlk = std::unique_lock<std::mutex>(durable_mu_);
-          st = AttachShardDurability(*left);
-          if (st.ok()) st = AttachShardDurability(*right);
-          if (!st.ok()) {
-            DropShardFiles(left->uid);
-            DropShardFiles(right->uid);
-            Unseal(*old);
-            return st;
+          for (const auto& slot : repl) {
+            ++with_uid;
+            const Status st = AttachShardDurability(*slot);
+            if (!st.ok()) return abort_cutover(st);
           }
         }
       }
+      Status commit = Status::OK();
       {
-        // Cutover: no writer holds the slot (exclusive lock), so the
-        // catch-up log is complete; replay it into the halves, commit
-        // the MANIFEST (durable mode), publish the new map, retire the
-        // old shard.
-        std::unique_lock<std::shared_mutex> lk(old->cutover_mu);
-        for (const auto& [k, tomb] : old->catchup) {
-          Inner& dst = (k < mid) ? left->index : right->index;
-          tomb ? dst.Erase(k) : dst.Insert(k);
+        // Cutover: no writer holds the old slots (exclusive locks, lower
+        // shard first — the worker is the only multi-lock taker), so the
+        // catch-up logs are complete.
+        std::vector<std::unique_lock<std::shared_mutex>> locks;
+        for (const auto& slot : old) locks.emplace_back(slot->cutover_mu);
+        for (const auto& slot : old) {
+          for (const auto& [k, tomb] : slot->catchup) {
+            const auto piece =
+                std::upper_bound(cuts.begin(), cuts.end(), k) - cuts.begin();
+            Inner& dst = repl[static_cast<size_t>(piece)]->index;
+            tomb ? dst.Erase(k) : dst.Insert(k);
+          }
+          slot->catchup.clear();
         }
-        old->catchup.clear();
+        // The old slots' count - 1 inner boundaries give way to the cuts.
         auto fresh = std::make_unique<ShardMap>();
         fresh->boundaries = m->boundaries;
+        const auto bfirst =
+            fresh->boundaries.begin() + static_cast<ptrdiff_t>(s);
         fresh->boundaries.insert(
-            fresh->boundaries.begin() + static_cast<ptrdiff_t>(s), mid);
+            fresh->boundaries.erase(
+                bfirst, bfirst + static_cast<ptrdiff_t>(count - 1)),
+            cuts.begin(), cuts.end());
         fresh->slots = m->slots;
-        fresh->slots[s] = left;
+        const auto sfirst = fresh->slots.begin() + static_cast<ptrdiff_t>(s);
         fresh->slots.insert(
-            fresh->slots.begin() + static_cast<ptrdiff_t>(s) + 1, right);
+            fresh->slots.erase(sfirst,
+                               sfirst + static_cast<ptrdiff_t>(count)),
+            repl.begin(), repl.end());
         if constexpr (kDurabilityCapable) {
           if (dlk.owns_lock()) {
             // Commit point, inside the critical section: sync the
@@ -1401,117 +1403,26 @@ class ShardedIndex {
             // shard set. No write can be acknowledged against the new
             // shards until the flip is on disk — a crash on either side
             // of the rename recovers every acknowledged write.
-            Status dst = left->index.SyncWal();
-            if (dst.ok()) dst = right->index.SyncWal();
-            if (dst.ok()) {
-              dst = WriteManifestLocked(fresh->boundaries, fresh->slots);
+            for (const auto& slot : repl) {
+              if (commit.ok()) commit = slot->index.SyncWal();
             }
-            if (!dst.ok()) {
-              // Abort: the old shard set stays authoritative (its log
-              // holds every write, catch-up included — dual-write).
-              DropShardFiles(left->uid);
-              DropShardFiles(right->uid);
-              old->sealed = false;  // cutover_mu already held exclusive
-              return dst;
+            if (commit.ok()) {
+              commit = WriteManifestLocked(*fresh);
             }
           }
         }
-        PublishMap(fresh.release(), m);
-        old->retired = true;
-        splits_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if constexpr (kDurabilityCapable) {
-        if (dlk.owns_lock()) DropShardFiles(old->uid);
-      }
-      *published = true;
-      return Status::OK();
-    }
-
-    /// One coalesce of the adjacent pair (s, s+1): seal both ->
-    /// snapshot both (disjoint ascending ranges, so concatenation is
-    /// sorted) -> build the merged shard -> cutover both.
-    Status CoalesceShards(ShardMap* m, size_t s, bool* published) {
-      *published = false;
-      std::shared_ptr<Slot> lo = m->slots[s];
-      std::shared_ptr<Slot> hi = m->slots[s + 1];
-      for (Slot* slot : {lo.get(), hi.get()}) {
-        std::unique_lock<std::shared_mutex> lk(slot->cutover_mu);
-        slot->sealed = true;
-      }
-      std::vector<key_type> snap = SnapshotKeys(lo->index);
-      {
-        std::vector<key_type> upper = SnapshotKeys(hi->index);
-        snap.insert(snap.end(), upper.begin(), upper.end());
-      }
-      auto merged = std::make_shared<Slot>();
-      Status st = merged->index.Build(
-          std::span<const key_type>(snap), config_.inner);
-      if (!st.ok()) {
-        Unseal(*lo);
-        Unseal(*hi);
-        return st;
-      }
-      // Durable: the merged shard gets its snapshot + fresh log before
-      // the catch-up replay (same protocol as SplitShard).
-      std::unique_lock<std::mutex> dlk;
-      if constexpr (kDurabilityCapable) {
-        if (durable_.load(std::memory_order_acquire)) {
-          dlk = std::unique_lock<std::mutex>(durable_mu_);
-          st = AttachShardDurability(*merged);
-          if (!st.ok()) {
-            DropShardFiles(merged->uid);
-            Unseal(*lo);
-            Unseal(*hi);
-            return st;
-          }
+        if (commit.ok()) {
+          PublishMap(fresh.release(), m);
+          for (const auto& slot : old) slot->retired = true;
+          (pieces > count ? splits_ : coalesces_)
+              .fetch_add(1, std::memory_order_relaxed);
         }
       }
-      {
-        // Lock order: always lower shard first (the only multi-lock
-        // taker is this worker, so any consistent order suffices).
-        std::unique_lock<std::shared_mutex> lk_lo(lo->cutover_mu);
-        std::unique_lock<std::shared_mutex> lk_hi(hi->cutover_mu);
-        // The two catch-up logs cover disjoint key ranges, so replay
-        // order across them is immaterial.
-        for (Slot* slot : {lo.get(), hi.get()}) {
-          for (const auto& [k, tomb] : slot->catchup) {
-            tomb ? merged->index.Erase(k) : merged->index.Insert(k);
-          }
-          slot->catchup.clear();
-        }
-        auto fresh = std::make_unique<ShardMap>();
-        fresh->boundaries = m->boundaries;
-        fresh->boundaries.erase(fresh->boundaries.begin() +
-                                static_cast<ptrdiff_t>(s));
-        fresh->slots = m->slots;
-        fresh->slots[s] = merged;
-        fresh->slots.erase(fresh->slots.begin() +
-                           static_cast<ptrdiff_t>(s) + 1);
-        if constexpr (kDurabilityCapable) {
-          if (dlk.owns_lock()) {
-            // Commit point (see SplitShard).
-            Status dst = merged->index.SyncWal();
-            if (dst.ok()) {
-              dst = WriteManifestLocked(fresh->boundaries, fresh->slots);
-            }
-            if (!dst.ok()) {
-              DropShardFiles(merged->uid);
-              lo->sealed = false;  // cutover locks already held exclusive
-              hi->sealed = false;
-              return dst;
-            }
-          }
-        }
-        PublishMap(fresh.release(), m);
-        lo->retired = true;
-        hi->retired = true;
-        coalesces_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if constexpr (kDurabilityCapable) {
-        if (dlk.owns_lock()) {
-          DropShardFiles(lo->uid);
-          DropShardFiles(hi->uid);
-        }
+      // A failed commit leaves the old shard set authoritative: its logs
+      // hold every write, catch-up included (dual-write).
+      if (!commit.ok()) return abort_cutover(commit);
+      if (dlk.owns_lock()) {
+        for (const auto& slot : old) DropShardFiles(slot->uid);
       }
       *published = true;
       return Status::OK();
@@ -1536,12 +1447,10 @@ class ShardedIndex {
           epoch_.Reclaim();
           return Status::OK();
         }
+        const bool split = act.kind == RebalanceAction::Kind::kSplit;
         bool published = false;
-        if (act.kind == RebalanceAction::Kind::kSplit) {
-          LI_RETURN_IF_ERROR(SplitShard(m, act.shard, &published));
-        } else {
-          LI_RETURN_IF_ERROR(CoalesceShards(m, act.shard, &published));
-        }
+        LI_RETURN_IF_ERROR(ReplaceShards(m, act.shard, split ? 1 : 2,
+                                         split ? 2 : 1, &published));
         if (!published) {  // no progress possible on this pick; give up
           epoch_.Reclaim();  // the cycle (writers may re-trigger later)
           return Status::OK();

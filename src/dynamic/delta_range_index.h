@@ -35,24 +35,22 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <memory>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/timer.h"
 #include "dynamic/delta_buffer.h"
+#include "dynamic/delta_sections.h"
 #include "dynamic/merge_policy.h"
 #include "index/approx.h"
 #include "index/range_index.h"
 #include "index/snapshottable.h"
 #include "index/writable_range_index.h"
 #include "snapshot/snapshot.h"
-#include "wal/wal.h"
+#include "wal/key_log.h"
 
 namespace li::dynamic {
 
@@ -97,9 +95,7 @@ class DeltaRangeIndex {
     stats_ = {};
     writes_since_merge_ = 0;
     reads_since_merge_ = 0;
-    wal_.reset();
-    wal_status_ = Status::OK();
-    covered_lsn_ = 0;
+    log_ = wal::KeyLog<key_type>();
     return base_.Build(std::span<const key_type>(base_keys_), config.base);
   }
 
@@ -145,7 +141,7 @@ class DeltaRangeIndex {
   /// Buffers an insert; true iff `key` was not live before. With
   /// durability on, the WAL append happens first (log-then-apply).
   bool Insert(const key_type& key) {
-    WalAppend(wal::WalRecordType::kInsert, key);
+    log_.Append(key, /*tombstone=*/false);
     ++stats_.inserts;
     ++writes_since_merge_;
     const auto prev = delta_.Find(key);
@@ -158,7 +154,7 @@ class DeltaRangeIndex {
 
   /// Buffers an erase (tombstone); true iff `key` was live before.
   bool Erase(const key_type& key) {
-    WalAppend(wal::WalRecordType::kErase, key);
+    log_.Append(key, /*tombstone=*/true);
     ++stats_.erases;
     ++writes_since_merge_;
     const auto prev = delta_.Find(key);
@@ -271,138 +267,56 @@ class DeltaRangeIndex {
   const Config& config() const { return config_; }
 
   // ---- Persistence (index::Snapshottable; docs/PERSISTENCE.md) ----
-  // Sections: the owned base key array (persisted once, the base model
-  // loads against a span over the reopened copy — no retraining), the
-  // base's model-only sections under "<prefix>base/", and the folded
-  // delta as parallel key/flag arrays. The key array is *copied* on open
-  // rather than mapped: merges replace it, so the wrapper stays writable
-  // after restart.
+  // The delta-index sections (delta_sections.h): the owned base key array
+  // (persisted once; the base model loads against the reopened copy — no
+  // retraining), the base's model-only sections under "<prefix>base/",
+  // and the delta as parallel key/flag arrays.
 
-  /// Snapshot support needs a flat key type and a base that can persist
-  /// its model against a caller-owned key span (the RMI family).
   static constexpr bool kSnapshotCapable =
-      std::is_trivially_copyable_v<key_type> &&
-      index::DataSpanSnapshottable<Base>;
+      kDeltaSnapshotCapable<key_type, Base>;
 
   Status WriteSections(snapshot::SnapshotWriter& writer,
                        const std::string& prefix) const {
-    if constexpr (!kSnapshotCapable) {
-      return Status::Unimplemented(
-          "DeltaRangeIndex snapshots need a flat key type and a "
-          "section-snapshottable base");
-    } else {
-      SnapshotCfg cfg;
-      cfg.policy = config_.policy;
-      cfg.active_cap = config_.active_cap;
-      LI_RETURN_IF_ERROR(writer.AddPod(prefix + "cfg", cfg));
-      if (wal_ != nullptr) {
-        // Publish the durability watermark: this snapshot reflects every
-        // WAL record up to and including last_lsn, so recovery replays
-        // only what comes after, and WriteSnapshot truncates behind it.
-        wal::WalSnapshotMeta meta;
-        meta.covered_lsn = wal_->stats().last_lsn;
-        snapshot_covered_lsn_ = meta.covered_lsn;
-        LI_RETURN_IF_ERROR(writer.AddPod(prefix + "wal", meta));
-      }
-      LI_RETURN_IF_ERROR(
-          writer.AddArray(prefix + "keys",
-                          std::span<const key_type>(base_keys_),
-                          snapshot::SectionKind::kKeys));
-      LI_RETURN_IF_ERROR(
-          base_.WriteSections(writer, prefix + "base/",
-                              /*include_keys=*/false));
-      std::vector<key_type> dkeys;
-      std::vector<uint8_t> dmeta;
-      dkeys.reserve(delta_.entry_count());
-      dmeta.reserve(delta_.entry_count());
-      delta_.VisitAll([&](const DeltaEntry<key_type>& e) {
-        dkeys.push_back(e.key);
-        dmeta.push_back(static_cast<uint8_t>((e.tombstone ? 1 : 0) |
-                                             (e.in_base ? 2 : 0)));
-        return true;
-      });
-      LI_RETURN_IF_ERROR(
-          writer.AddArray(prefix + "dkeys", std::span<const key_type>(dkeys),
-                          snapshot::SectionKind::kDelta));
-      return writer.AddArray(prefix + "dmeta",
-                             std::span<const uint8_t>(dmeta),
-                             snapshot::SectionKind::kDelta);
-    }
+    std::vector<DeltaEntry<key_type>> entries;
+    entries.reserve(delta_.entry_count());
+    delta_.VisitAll([&](const DeltaEntry<key_type>& e) {
+      entries.push_back(e);
+      return true;
+    });
+    return WriteDeltaSections(
+        writer, prefix, DeltaSnapshotCfg{config_.policy, config_.active_cap},
+        log_.CoverForSnapshot(), std::span<const key_type>(base_keys_), base_,
+        std::span<const DeltaEntry<key_type>>(entries));
   }
 
   Status LoadSections(const snapshot::SnapshotReader& reader,
                       const std::string& prefix) {
-    if constexpr (!kSnapshotCapable) {
-      return Status::Unimplemented(
-          "DeltaRangeIndex snapshots need a flat key type and a "
-          "section-snapshottable base");
-    } else {
-      SnapshotCfg cfg;
-      LI_RETURN_IF_ERROR(reader.GetPod(prefix + "cfg", &cfg));
-      auto keys = reader.GetArray<key_type>(prefix + "keys");
-      if (!keys.ok()) return keys.status();
-      auto dkeys = reader.GetArray<key_type>(prefix + "dkeys");
-      if (!dkeys.ok()) return dkeys.status();
-      auto dmeta = reader.GetArray<uint8_t>(prefix + "dmeta");
-      if (!dmeta.ok()) return dmeta.status();
-      if (dkeys.value().size() != dmeta.value().size()) {
-        return Status::InvalidArgument(
-            "DeltaRangeIndex snapshot delta arrays disagree in size");
-      }
-      base_keys_.assign(keys.value().begin(), keys.value().end());
-      LI_RETURN_IF_ERROR(
-          base_.LoadSections(reader, prefix + "base/",
-                             std::span<const key_type>(base_keys_)));
-      std::vector<DeltaEntry<key_type>> entries;
-      entries.reserve(dkeys.value().size());
-      for (size_t i = 0; i < dkeys.value().size(); ++i) {
-        const uint8_t m = dmeta.value()[i];
-        if ((m & ~uint8_t{3}) != 0) {
-          return Status::InvalidArgument(
-              "DeltaRangeIndex snapshot delta flags are corrupt");
-        }
-        entries.push_back(DeltaEntry<key_type>{dkeys.value()[i],
-                                               (m & 1) != 0, (m & 2) != 0});
-      }
-      wal::WalSnapshotMeta meta;  // absent in pre-durability snapshots
-      const Status wal_meta = reader.GetPod(prefix + "wal", &meta);
-      if (wal_meta.ok()) {
-        covered_lsn_ = meta.covered_lsn;
-      } else if (wal_meta.code() == StatusCode::kNotFound) {
-        covered_lsn_ = 0;
-      } else {
-        return wal_meta;
-      }
-      wal_.reset();
-      wal_status_ = Status::OK();
-      config_.policy = cfg.policy;
-      config_.active_cap = std::max<size_t>(cfg.active_cap, 2);
-      if constexpr (requires {
-                      {
-                        base_.config()
-                      } -> std::convertible_to<base_config_type>;
-                    }) {
-        config_.base = base_.config();
-      }
-      delta_ = DeltaBuffer<key_type>::FromSortedEntries(
-          std::span<const DeltaEntry<key_type>>(entries), config_.active_cap);
-      stats_ = {};
-      writes_since_merge_ = 0;
-      reads_since_merge_ = 0;
-      last_auto_merge_status_ = Status::OK();
-      return Status::OK();
+    DeltaSections<key_type> loaded;
+    LI_RETURN_IF_ERROR(ReadDeltaSections(reader, prefix, &base_, &loaded));
+    base_keys_ = std::move(loaded.keys);  // heap buffer (and span) unmoved
+    log_ = wal::KeyLog<key_type>(loaded.covered_lsn);
+    config_.policy = loaded.cfg.policy;
+    config_.active_cap = loaded.cfg.buffer_cap;
+    if constexpr (requires {
+                    {
+                      base_.config()
+                    } -> std::convertible_to<base_config_type>;
+                  }) {
+      config_.base = base_.config();
     }
+    delta_ = DeltaBuffer<key_type>::FromSortedEntries(
+        std::span<const DeltaEntry<key_type>>(loaded.delta),
+        config_.active_cap);
+    stats_ = {};
+    writes_since_merge_ = 0;
+    reads_since_merge_ = 0;
+    last_auto_merge_status_ = Status::OK();
+    return Status::OK();
   }
 
   Status WriteSnapshot(const std::string& path) const {
     LI_RETURN_IF_ERROR(index::WriteSnapshotViaSections(*this, path));
-    if (wal_ != nullptr) {
-      // The snapshot file is published (fsync + rename), so the log can
-      // be truncated behind the watermark it covers. A crash between the
-      // two leaves a longer log; replay filters by covered LSN.
-      return wal_->ResetTo(snapshot_covered_lsn_);
-    }
-    return Status::OK();
+    return log_.TruncateAfterPublish();
   }
 
   static Result<DeltaRangeIndex> OpenSnapshot(
@@ -419,30 +333,18 @@ class DeltaRangeIndex {
   }
 
   // ---- Durability (index::DurableIndex; docs/DURABILITY.md) ----
+  // The log lifecycle lives in wal::KeyLog; replay runs through
+  // Insert/Erase, which do not re-log while the log is detached.
 
   /// WAL support needs a flat key type (records carry the raw key bytes).
-  static constexpr bool kDurabilityCapable =
-      std::is_trivially_copyable_v<key_type>;
+  static constexpr bool kDurabilityCapable = wal::KeyLog<key_type>::kCapable;
 
   /// Attach a fresh write-ahead log at cfg.path. Every subsequent
   /// Insert/Erase appends before applying. Call right after Build (or
   /// after a snapshot): writes made before enabling are only recoverable
   /// through a snapshot that contains them.
   Status EnableDurability(const wal::DurabilityConfig& cfg) {
-    if constexpr (!kDurabilityCapable) {
-      return Status::Unimplemented(
-          "DeltaRangeIndex durability needs a flat key type");
-    } else {
-      if (wal_ != nullptr) {
-        return Status::FailedPrecondition("durability already enabled");
-      }
-      auto w = wal::WalWriter::Create(cfg.path, covered_lsn_,
-                                      sizeof(key_type), cfg);
-      if (!w.ok()) return w.status();
-      wal_ = std::make_unique<wal::WalWriter>(w.take());
-      wal_status_ = Status::OK();
-      return Status::OK();
-    }
+    return log_.Enable(cfg);
   }
 
   /// Replay the log at cfg.path on top of the current state (fresh Build
@@ -451,79 +353,26 @@ class DeltaRangeIndex {
   /// missing file starts a fresh log. Gap detection: a log whose records
   /// begin after the snapshot watermark is rejected.
   Status RecoverFromWal(const wal::DurabilityConfig& cfg) {
-    if constexpr (!kDurabilityCapable) {
-      return Status::Unimplemented(
-          "DeltaRangeIndex durability needs a flat key type");
-    } else {
-      if (wal_ != nullptr) {
-        return Status::FailedPrecondition("durability already enabled");
-      }
-      const uint64_t covered = covered_lsn_;
-      auto replay = wal::Replay(
-          cfg.path,
-          [&](wal::WalRecordType type, uint64_t lsn, const void* payload,
-              size_t len) -> Status {
-            if (len != sizeof(key_type)) {
-              return Status::InvalidArgument("WAL record size mismatch");
-            }
-            if (lsn <= covered) return Status::OK();  // snapshot has it
-            key_type k;
-            std::memcpy(&k, payload, sizeof(k));
-            // wal_ is still null here, so these do not re-log.
-            if (type == wal::WalRecordType::kInsert) {
-              Insert(k);
-            } else {
-              Erase(k);
-            }
-            return Status::OK();
-          });
-      if (!replay.ok()) {
-        if (replay.status().code() == StatusCode::kNotFound) {
-          return EnableDurability(cfg);  // no log yet: start one
-        }
-        return replay.status();
-      }
-      if (replay.value().base_lsn > covered) {
-        return Status::InvalidArgument(
-            "WAL gap: log starts past the snapshot's covered LSN");
-      }
-      auto w = wal::WalWriter::Open(cfg.path, cfg, nullptr);
-      if (!w.ok()) return w.status();
-      wal_ = std::make_unique<wal::WalWriter>(w.take());
-      wal_status_ = Status::OK();
-      if (wal_->stats().last_lsn < covered) {
-        // Stale log older than the snapshot: rotate so LSNs cannot
-        // regress below the watermark.
-        LI_RETURN_IF_ERROR(wal_->ResetTo(covered));
-      }
-      covered_lsn_ = wal_->stats().last_lsn;
-      return Status::OK();
-    }
+    return log_.Recover(cfg, wal::Unlocked{},
+                        [this](const key_type& k, bool tombstone) {
+                          tombstone ? Erase(k) : Insert(k);
+                        });
   }
 
-  bool durable() const { return wal_ != nullptr; }
+  bool durable() const { return log_.attached(); }
 
   /// Sticky status of the logging path: an append failure poisons the
   /// log (the in-memory index keeps serving, but durability is lost
   /// until re-enabled), and callers that need ack-implies-durable check
   /// this after writes.
-  const Status& wal_status() const { return wal_status_; }
+  const Status& wal_status() const { return log_.status(); }
 
-  wal::WalStats DurabilityStats() const {
-    return wal_ != nullptr ? wal_->stats() : wal::WalStats{};
-  }
+  wal::WalStats DurabilityStats() const { return log_.Stats(); }
 
   /// Flush the group-commit window now (e.g. before a clean shutdown).
-  Status SyncWal() { return wal_ != nullptr ? wal_->Sync() : Status::OK(); }
+  Status SyncWal() { return log_.Sync(); }
 
  private:
-  struct SnapshotCfg {
-    MergePolicy policy{};
-    uint64_t active_cap = 256;
-  };
-  static_assert(std::is_trivially_copyable_v<MergePolicy>,
-                "MergePolicy is persisted verbatim in snapshots");
-
   bool BaseContains(const key_type& key) const {
     return index::ContainsViaLookup(
         base_, std::span<const key_type>(base_keys_), key);
@@ -533,14 +382,6 @@ class DeltaRangeIndex {
     const int64_t rank = static_cast<int64_t>(base_.Lookup(key)) +
                          (delta_.empty() ? 0 : delta_.RankAdjustBelow(key));
     return static_cast<size_t>(rank);
-  }
-
-  void WalAppend(wal::WalRecordType type, const key_type& key) {
-    if (wal_ == nullptr) return;
-    if constexpr (kDurabilityCapable) {
-      auto r = wal_->Append(type, &key, sizeof(key));
-      if (!r.ok()) wal_status_ = r.status();
-    }
   }
 
   void MaybeMerge() {
@@ -563,11 +404,9 @@ class DeltaRangeIndex {
   mutable uint64_t writes_since_merge_ = 0;
   mutable uint64_t reads_since_merge_ = 0;
   Status last_auto_merge_status_{};
-  // mutable: WriteSnapshot is const but truncates the log after publish.
-  mutable std::unique_ptr<wal::WalWriter> wal_;
-  Status wal_status_{};
-  uint64_t covered_lsn_ = 0;  // watermark inherited from OpenSnapshot
-  mutable uint64_t snapshot_covered_lsn_ = 0;  // stashed by WriteSections
+  // mutable: the const snapshot path stashes the covered LSN and
+  // truncates the log after publish.
+  mutable wal::KeyLog<key_type> log_;
 };
 
 }  // namespace li::dynamic

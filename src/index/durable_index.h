@@ -17,9 +17,11 @@
 //                                covered LSN, then resume logging
 //
 // The concept is satisfied by DeltaRangeIndex and
-// ConcurrentWritableIndex; ShardedIndex routes per-shard logs through
-// the same machinery behind a directory-based variant (EnableDurability
-// on a directory, RecoverDurable instead of OpenSnapshot).
+// ConcurrentWritableIndex, which both delegate the log lifecycle to one
+// wal::KeyLog (wal/key_log.h); ShardedIndex routes per-shard logs
+// through the same machinery behind a directory-based variant
+// (EnableDurability on a directory, RecoverDurable instead of
+// OpenSnapshot).
 
 #ifndef LI_INDEX_DURABLE_INDEX_H_
 #define LI_INDEX_DURABLE_INDEX_H_

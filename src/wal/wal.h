@@ -17,9 +17,10 @@
 //     A crash at any point leaves either the old or the new log, both
 //     valid.
 //
-// Index classes wire this in via DurabilityConfig (EnableDurability /
-// RecoverFromWal in src/dynamic/ and src/concurrent/); the protocol is
-// documented in docs/DURABILITY.md.
+// Index classes wire this in through wal::KeyLog (key_log.h), the one
+// attach / recover / append / truncate lifecycle behind every
+// EnableDurability / RecoverFromWal; the protocol is documented in
+// docs/DURABILITY.md.
 
 #ifndef LI_WAL_WAL_H_
 #define LI_WAL_WAL_H_

@@ -165,7 +165,9 @@ TEST(ChainedHashMapTest, AbsentKeysReturnNull) {
   const std::set<uint64_t> keyset(keys.begin(), keys.end());
   for (int i = 0; i < 10'000; ++i) {
     const uint64_t probe = rng.Next();
-    if (!keyset.count(probe)) EXPECT_EQ(map.Find(probe), nullptr);
+    if (!keyset.count(probe)) {
+      EXPECT_EQ(map.Find(probe), nullptr);
+    }
   }
 }
 
@@ -235,7 +237,9 @@ TEST(ChainedHashMapTest, PrebuiltHashBuildMatchesConfigBuild) {
     const Record* a = from_config.Find(q);
     const Record* b = from_prebuilt.Find(q);
     ASSERT_EQ(a == nullptr, b == nullptr) << q;
-    if (a != nullptr) ASSERT_EQ(a->payload, b->payload) << q;
+    if (a != nullptr) {
+      ASSERT_EQ(a->payload, b->payload) << q;
+    }
   }
 }
 
@@ -301,7 +305,9 @@ TEST(CuckooMapTest, AbsentKeysNullAndNeverBuiltSafe) {
   Xorshift128Plus rng(12);
   for (int i = 0; i < 10'000; ++i) {
     const uint64_t probe = rng.Next();
-    if (!keyset.count(probe)) EXPECT_EQ(map.Find(probe), nullptr);
+    if (!keyset.count(probe)) {
+      EXPECT_EQ(map.Find(probe), nullptr);
+    }
   }
 }
 
@@ -365,7 +371,9 @@ TEST(InplaceChainedMapTest, AbsentKeysIncludingForeignSlots) {
   Xorshift128Plus rng(18);
   for (int i = 0; i < 20'000; ++i) {
     const uint64_t probe = rng.Next();
-    if (!keyset.count(probe)) EXPECT_EQ(map.Find(probe), nullptr);
+    if (!keyset.count(probe)) {
+      EXPECT_EQ(map.Find(probe), nullptr);
+    }
   }
 }
 

@@ -291,12 +291,16 @@ TEST(ChainedSlotSweepTest, CorrectAcrossSlotBudgetsAndHashKinds) {
         const auto it = Oracle().find(q);
         ASSERT_EQ(r != nullptr, it != Oracle().end())
             << name << " " << pct << "% q=" << q;
-        if (r != nullptr) ASSERT_EQ(r->payload, it->second);
+        if (r != nullptr) {
+          ASSERT_EQ(r->payload, it->second);
+        }
       }
       // Undersized tables must chain; oversized learned tables waste less
       // than their random counterpart (checked in hash_test) — here we
       // only require the stats to reflect the geometry.
-      if (pct < 100) EXPECT_GT(map.Stats().overflow, 0u) << name;
+      if (pct < 100) {
+        EXPECT_GT(map.Stats().overflow, 0u) << name;
+      }
     }
   }
 }
@@ -341,7 +345,9 @@ TEST(AnyPointIndexTest, ErasesHeterogeneousFamilies) {
       const hash::Record* r = e.Find(probes[i]);
       ASSERT_EQ(r != nullptr, it != Oracle().end()) << probes[i];
       ASSERT_EQ(out[i], r) << probes[i];
-      if (r != nullptr) ASSERT_EQ(r->payload, it->second);
+      if (r != nullptr) {
+        ASSERT_EQ(r->payload, it->second);
+      }
     }
   }
 }

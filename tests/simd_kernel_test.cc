@@ -503,7 +503,9 @@ TEST(SimdEndToEndTest, ConcurrentPointFindBatchBitExactAcrossLevels) {
       for (size_t i = 0; i < queries.size(); ++i) {
         hash::Record rec{};
         ASSERT_EQ(ref_found[i] != 0, map.Find(queries[i], &rec)) << i;
-        if (ref_found[i] != 0) ASSERT_EQ(ref_recs[i].payload, rec.payload);
+        if (ref_found[i] != 0) {
+          ASSERT_EQ(ref_recs[i].payload, rec.payload);
+        }
       }
     }
     for (const Level level : SupportedLevels()) {

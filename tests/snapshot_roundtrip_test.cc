@@ -303,7 +303,9 @@ TEST_P(HashRoundTripTest, FindIdenticalAfterReopen) {
     const hash::Record* a = built.Find(probe);
     const hash::Record* b = reopened.value().Find(probe);
     ASSERT_EQ(a == nullptr, b == nullptr) << probe;
-    if (a != nullptr) ASSERT_EQ(a->payload, b->payload) << probe;
+    if (a != nullptr) {
+      ASSERT_EQ(a->payload, b->payload) << probe;
+    }
   }
   std::remove(path.c_str());
 }

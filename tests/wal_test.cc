@@ -4,9 +4,12 @@
 // layer driven in-process (kill_process = false), and the durable index
 // classes end to end — snapshot + log replay equals a std::set oracle
 // for DeltaRangeIndex, ConcurrentWritableIndex and the directory-based
-// ShardedIndex (including a durable rebalance cutover). Process-death
-// crash injection lives in crash_recovery_test.cc; this file covers
-// every failure mode that can be exercised without dying.
+// ShardedIndex (including durable split and coalesce cutovers), plus the
+// single-log edge cases (second attach, gap, stale-log rotation, payload
+// size, missing file) and delta-section corruption, typed over both
+// single-log classes. Process-death crash injection lives in
+// crash_recovery_test.cc; this file covers every failure mode that can
+// be exercised without dying.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -18,6 +21,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/random.h"
@@ -28,6 +32,7 @@
 #include "dynamic/delta_range_index.h"
 #include "index/durable_index.h"
 #include "rmi/rmi.h"
+#include "snapshot/snapshot.h"
 #include "wal/file_backend.h"
 #include "wal/wal.h"
 #include "wal/wal_format.h"
@@ -709,6 +714,241 @@ TEST(DurableShardedTest, RebalanceCutoverCommitsThroughManifest) {
                                                    q) -
                                   ref.begin()));
   }
+}
+
+TEST(DurableShardedTest, CoalesceCutoverCommitsThroughManifest) {
+  const std::string dir = TmpPath("sharded_coal_dir");
+  auto keys = data::GenLognormal(20'000, 73);
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::set<uint64_t> oracle(keys.begin(), keys.end());
+
+  ShardedRmi idx;
+  ShardedRmi::Config cfg;
+  cfg.num_shards = 4;
+  cfg.inner.base.num_leaf_models = 32;
+  cfg.rebalance.enabled = true;
+  cfg.rebalance.max_imbalance = 4.0;  // splits stay out of the way
+  cfg.rebalance.coalesce_fraction = 0.5;
+  cfg.rebalance.check_stride = 64;
+  ASSERT_TRUE(idx.Build(keys, cfg).ok());
+  ASSERT_EQ(idx.num_shards(), 4u);
+  wal::DurabilityConfig dcfg;
+  dcfg.path = dir;
+  ASSERT_TRUE(idx.EnableDurability(dcfg).ok());
+
+  // Drain shards 0 and 1 by erases: once their combined mass drops under
+  // coalesce_fraction x the mean, the rebalancer merges the pair while
+  // the remaining erases stream through the catch-up log.
+  const uint64_t drain_end = idx.boundaries()[1];
+  for (const uint64_t k : keys) {
+    if (k >= drain_end) break;
+    ASSERT_TRUE(idx.Erase(k));
+    oracle.erase(k);
+  }
+  idx.RequestRebalance();
+  idx.WaitForRebalances();
+  ASSERT_TRUE(idx.last_rebalance_status().ok())
+      << idx.last_rebalance_status().message();
+  EXPECT_EQ(idx.ConcurrentStats().shard_coalesces, 1u);
+  EXPECT_EQ(idx.ConcurrentStats().shard_splits, 0u);
+  ASSERT_EQ(idx.num_shards(), 3u);
+  // Writes after the publish land in the merged shard's fresh log.
+  Xorshift128Plus rng(7373);
+  for (int i = 0; i < 500; ++i) {
+    const uint64_t k = rng.NextBounded(drain_end);
+    ASSERT_EQ(idx.Insert(k), oracle.insert(k).second);
+  }
+  ASSERT_TRUE(idx.wal_status().ok());
+  ASSERT_TRUE(idx.SyncWal().ok());
+
+  auto re = ShardedRmi::RecoverDurable(dcfg);
+  ASSERT_TRUE(re.ok()) << re.status().message();
+  ShardedRmi rec = re.take();
+  // The recovered routing table is the post-coalesce one.
+  EXPECT_EQ(rec.num_shards(), 3u);
+  EXPECT_EQ(rec.boundaries(), idx.boundaries());
+  const std::vector<uint64_t> ref(oracle.begin(), oracle.end());
+  ASSERT_EQ(rec.size(), ref.size());
+  ASSERT_EQ(rec.Scan(0, ref.size() + 1), ref);
+  for (int p = 0; p < 2'000; ++p) {
+    const uint64_t q = rng.NextBounded(2 * drain_end);
+    ASSERT_EQ(rec.Lookup(q),
+              static_cast<size_t>(std::lower_bound(ref.begin(), ref.end(),
+                                                   q) -
+                                  ref.begin()));
+  }
+}
+
+// ---- Single-log edge cases, typed over both key-log owners ----
+
+template <typename I>
+class SingleLogIndexTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    keys_ = data::GenLognormal(2'000, 91);
+    keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+    typename I::Config cfg;
+    cfg.base.num_leaf_models = 16;
+    ASSERT_TRUE(idx_.Build(keys_, cfg).ok());
+  }
+
+  /// Per-type file name, so the two instantiations never share a file.
+  static std::string Path(const std::string& name) {
+    return TmpPath((std::is_same_v<I, DeltaRmi> ? "kl_delta_" : "kl_conc_") +
+                   name);
+  }
+
+  /// A key the build set does not hold.
+  uint64_t FreshKey(uint64_t i) const { return keys_.back() + 1 + i; }
+
+  I idx_;
+  std::vector<uint64_t> keys_;
+};
+
+using SingleLogIndexes = ::testing::Types<DeltaRmi, ConcRmi>;
+
+template <typename I>
+using DurableKeyLogTest = SingleLogIndexTest<I>;
+TYPED_TEST_SUITE(DurableKeyLogTest, SingleLogIndexes);
+
+TYPED_TEST(DurableKeyLogTest, SecondAttachIsFailedPrecondition) {
+  wal::DurabilityConfig d;
+  d.path = this->Path("twice.wal");
+  ASSERT_TRUE(this->idx_.EnableDurability(d).ok());
+  EXPECT_EQ(this->idx_.EnableDurability(d).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(this->idx_.RecoverFromWal(d).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(this->idx_.durable());
+}
+
+TYPED_TEST(DurableKeyLogTest, LogStartingPastTheSnapshotIsAGap) {
+  wal::DurabilityConfig d;
+  d.path = this->Path("gap.wal");
+  {
+    // The index covers LSN 0; a log whose records start at LSN 6 has
+    // lost 1..5.
+    auto w = wal::WalWriter::Create(d.path, 5, sizeof(uint64_t), d);
+    ASSERT_TRUE(w.ok());
+    wal::WalWriter writer = w.take();
+    const uint64_t k = this->FreshKey(0);
+    ASSERT_TRUE(writer.Append(wal::WalRecordType::kInsert, &k, 8).ok());
+  }
+  EXPECT_EQ(this->idx_.RecoverFromWal(d).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(this->idx_.durable());
+}
+
+TYPED_TEST(DurableKeyLogTest, StaleLogIsRotatedPastTheWatermark) {
+  const std::string snap = this->Path("stale.snap");
+  wal::DurabilityConfig d;
+  d.path = this->Path("stale.wal");
+  ASSERT_TRUE(this->idx_.EnableDurability(d).ok());
+  for (uint64_t i = 0; i < 10; ++i) this->idx_.Insert(this->FreshKey(i));
+  ASSERT_TRUE(this->idx_.WriteSnapshot(snap).ok());  // covers LSN 10
+  {
+    // Swap in an older log that ends at LSN 3, inside the snapshot.
+    auto w = wal::WalWriter::Create(d.path, 0, sizeof(uint64_t), d);
+    ASSERT_TRUE(w.ok());
+    wal::WalWriter writer = w.take();
+    for (uint64_t i = 100; i < 103; ++i) {
+      const uint64_t k = this->FreshKey(i);
+      ASSERT_TRUE(writer.Append(wal::WalRecordType::kInsert, &k, 8).ok());
+    }
+  }
+  auto re = TypeParam::OpenSnapshot(snap);
+  ASSERT_TRUE(re.ok()) << re.status().message();
+  TypeParam rec = re.take();
+  ASSERT_TRUE(rec.RecoverFromWal(d).ok());
+  // The stale records were filtered, and the log rotated to the
+  // watermark so the next LSN continues past it.
+  EXPECT_EQ(rec.size(), this->keys_.size() + 10);
+  EXPECT_EQ(rec.DurabilityStats().base_lsn, 10u);
+  EXPECT_TRUE(rec.Insert(this->FreshKey(200)));
+  EXPECT_EQ(rec.DurabilityStats().last_lsn, 11u);
+  ASSERT_TRUE(rec.wal_status().ok());
+}
+
+TYPED_TEST(DurableKeyLogTest, FourBytePayloadLogIsInvalidArgument) {
+  wal::DurabilityConfig d;
+  d.path = this->Path("pay4.wal");
+  {
+    auto w = wal::WalWriter::Create(d.path, 0, 4, d);
+    ASSERT_TRUE(w.ok());
+    wal::WalWriter writer = w.take();
+    const uint32_t k = 7;
+    ASSERT_TRUE(writer.Append(wal::WalRecordType::kInsert, &k, 4).ok());
+  }
+  EXPECT_EQ(this->idx_.RecoverFromWal(d).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(this->idx_.durable());
+}
+
+TYPED_TEST(DurableKeyLogTest, MissingFileStartsAFreshLog) {
+  wal::DurabilityConfig d;
+  d.path = this->Path("missing.wal");
+  std::remove(d.path.c_str());
+  ASSERT_TRUE(this->idx_.RecoverFromWal(d).ok());
+  ASSERT_TRUE(this->idx_.durable());
+  EXPECT_TRUE(this->idx_.Insert(this->FreshKey(0)));
+  EXPECT_EQ(this->idx_.DurabilityStats().last_lsn, 1u);
+  auto replayed = ReplayAll(d.path);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().message();
+  EXPECT_EQ(replayed.value().first.records, 1u);
+}
+
+// ---- Delta-section corruption: a Status, never a crash ----
+
+template <typename I>
+using DeltaSectionCorruptionTest = SingleLogIndexTest<I>;
+TYPED_TEST_SUITE(DeltaSectionCorruptionTest, SingleLogIndexes);
+
+/// Copies the snapshot at `from` to `to` with its "dmeta" section
+/// replaced by `edit(dmeta)`; every other section is byte-identical.
+template <typename Edit>
+void RewriteDmeta(const std::string& from, const std::string& to,
+                  Edit&& edit) {
+  auto r = snapshot::SnapshotReader::Open(from);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  snapshot::SnapshotWriter w;
+  for (const snapshot::SectionEntry& e : r.value().sections()) {
+    const std::string name = e.name;
+    auto bytes = r.value().Get(name);
+    ASSERT_TRUE(bytes.ok());
+    std::vector<uint8_t> payload(bytes.value().begin(), bytes.value().end());
+    if (name == "dmeta") edit(payload);
+    ASSERT_TRUE(w.AddSection(name, static_cast<snapshot::SectionKind>(e.kind),
+                             payload.data(), payload.size())
+                    .ok());
+  }
+  ASSERT_TRUE(w.WriteFile(to).ok());
+}
+
+TYPED_TEST(DeltaSectionCorruptionTest, DeltaArrayLengthMismatchRejected) {
+  const std::string snap = this->Path("dlen.snap");
+  const std::string bad = this->Path("dlen_bad.snap");
+  for (uint64_t i = 0; i < 10; ++i) this->idx_.Insert(this->FreshKey(i));
+  ASSERT_TRUE(this->idx_.WriteSnapshot(snap).ok());
+  ASSERT_TRUE(TypeParam::OpenSnapshot(snap).ok());
+  RewriteDmeta(snap, bad, [](std::vector<uint8_t>& m) {
+    ASSERT_EQ(m.size(), 10u);
+    m.pop_back();
+  });
+  auto re = TypeParam::OpenSnapshot(bad);
+  ASSERT_FALSE(re.ok());
+  EXPECT_EQ(re.status().code(), StatusCode::kInvalidArgument);
+}
+
+TYPED_TEST(DeltaSectionCorruptionTest, UnknownFlagBitRejected) {
+  const std::string snap = this->Path("dflag.snap");
+  const std::string bad = this->Path("dflag_bad.snap");
+  for (uint64_t i = 0; i < 10; ++i) this->idx_.Insert(this->FreshKey(i));
+  ASSERT_TRUE(this->idx_.WriteSnapshot(snap).ok());
+  RewriteDmeta(snap, bad, [](std::vector<uint8_t>& m) {
+    ASSERT_FALSE(m.empty());
+    m[m.size() / 2] |= 0x4;
+  });
+  auto re = TypeParam::OpenSnapshot(bad);
+  ASSERT_FALSE(re.ok());
+  EXPECT_EQ(re.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

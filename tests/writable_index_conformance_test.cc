@@ -125,7 +125,9 @@ void RunOracleStream(Idx& idx, std::set<uint64_t>& oracle,
       default:
         ASSERT_EQ(idx.Contains(k), oracle.count(k) > 0) << "op " << i;
     }
-    if (manual_merges && i % 977 == 976) ASSERT_TRUE(idx.Merge().ok());
+    if (manual_merges && i % 977 == 976) {
+      ASSERT_TRUE(idx.Merge().ok());
+    }
     if (i % 1500 == 1499) {
       ASSERT_EQ(idx.size(), oracle.size()) << "op " << i;
       const std::vector<uint64_t> ref(oracle.begin(), oracle.end());
@@ -219,7 +221,9 @@ TEST(WritablePropertyTest, InterleavedWritesMatchFromScratchRebuild) {
         idx.Insert(k);
         oracle.insert(k);
       }
-      if (rng.NextBounded(997) == 0) ASSERT_TRUE(idx.Merge().ok());
+      if (rng.NextBounded(997) == 0) {
+        ASSERT_TRUE(idx.Merge().ok());
+      }
     }
     // From-scratch rebuild over the final live set.
     const std::vector<uint64_t> live(oracle.begin(), oracle.end());

@@ -9,7 +9,7 @@
 //   State = { base records + built Base map   (shared with older versions)
 //           , frozen overlay                  (sorted, one entry per key,
 //                                              newest sequence number wins)
-//           , write log                       (append-only, bounded) }
+//           , write log                       (concurrent/write_log.h) }
 //
 // Readers pin an epoch, load the current version with one atomic load,
 // and answer newest-first: log suffix -> frozen overlay -> base map. The
@@ -19,9 +19,11 @@
 // because a base pointer would dangle once a rebuild retires its
 // version).
 //
-// Writers serialize on the writer mutex, append to the log, and fold a
-// full log into the sorted overlay as a new version — the publish/retire
-// protocol of concurrent/versioned.h, shared by every concurrent class.
+// Writers serialize on the writer mutex, append to the shared write log,
+// and fold a full log's newest-per-key walk into the sorted overlay as a
+// new version — the publish/retire protocol of concurrent/versioned.h,
+// shared by every concurrent class. This class keeps only the entry
+// layout (record, sequence number, tombstone) and the record logic.
 //
 // Rehash/resize runs on a background worker (concurrent/worker.h) so no
 // caller ever pays the table rebuild inline:
@@ -59,7 +61,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
@@ -69,6 +70,7 @@
 #include "concurrent/epoch.h"
 #include "concurrent/versioned.h"
 #include "concurrent/worker.h"
+#include "concurrent/write_log.h"
 #include "hash/record.h"
 #include "index/concurrent_point_index.h"
 #include "index/concurrent_writable_index.h"
@@ -198,16 +200,16 @@ class ConcurrentPointIndex {
     uint64_t seq = 0;
     bool tombstone = false;
   };
+  struct OvKey {
+    uint64_t operator()(const OvEntry& e) const { return e.rec.key; }
+  };
 
   struct State {
-    explicit State(size_t cap)
-        : log(std::make_unique<OvEntry[]>(cap)), log_cap(cap) {}
+    explicit State(size_t cap) : log(cap) {}
     std::shared_ptr<const std::vector<hash::Record>> base_records;
     std::shared_ptr<const Base> base;  // built over *base_records
     std::vector<OvEntry> frozen;       // sorted by key, one entry per key
-    std::unique_ptr<OvEntry[]> log;
-    size_t log_cap;
-    std::atomic<uint32_t> log_count{0};
+    WriteLog<OvEntry, OvKey> log;
   };
 
   struct Impl {
@@ -258,8 +260,7 @@ class ConcurrentPointIndex {
       EpochManager::Guard g(versions_.epoch());
       const State* s = versions_.Load();
       if (s == nullptr) return false;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
-      const int ov = OverlayFind(*s, n, key, out);
+      const int ov = OverlayFind(*s, s->log.published(), key, out);
       if (ov >= 0) {
         stripe.hits.fetch_add(1, std::memory_order_relaxed);
         return ov == 1;
@@ -282,7 +283,7 @@ class ConcurrentPointIndex {
         for (size_t i = 0; i < m; ++i) found[i] = 0;
         return;
       }
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
+      const uint32_t n = s->log.published();
       const bool base_has_records = s->base->num_records() > 0;
       // Blocked: the base's native batch path (the SIMD slot kernels)
       // resolves each block, then the overlay patches the keys it
@@ -326,7 +327,7 @@ class ConcurrentPointIndex {
       return s->base->SizeBytes() +
              s->base_records->size() * sizeof(hash::Record) +
              s->frozen.size() * sizeof(OvEntry) +
-             s->log_cap * sizeof(OvEntry);
+             s->log.capacity() * sizeof(OvEntry);
     }
 
     index::PointIndexStats Stats() const {
@@ -353,10 +354,11 @@ class ConcurrentPointIndex {
         EpochManager::Guard g(versions_.epoch());
         const State* s = versions_.Load();
         if (s != nullptr) {
-          const uint32_t n = s->log_count.load(std::memory_order_acquire);
+          const uint32_t n = s->log.published();
           cs.log_entries = n;
           cs.delta_entries = s->frozen.size() + n;
-          cs.delta_bytes = (s->frozen.size() + s->log_cap) * sizeof(OvEntry);
+          cs.delta_bytes =
+              (s->frozen.size() + s->log.capacity()) * sizeof(OvEntry);
           cs.base_keys = s->base_records->size();
         }
       }
@@ -369,21 +371,14 @@ class ConcurrentPointIndex {
     bool Write(const hash::Record& rec, WriteKind kind) {
       const auto lk = versions_.LockForWrite();
       State* s = versions_.Current();
-      uint32_t n = s->log_count.load(std::memory_order_relaxed);
-      const bool live = LiveLocked(*s, n, rec.key);
+      const bool live = LiveLocked(*s, rec.key);
       // No-op writes return without consuming log space: a first-wins
       // insert of a live key, or the erase of an absent one.
       if (kind == WriteKind::kInsert && live) return false;
       if (kind == WriteKind::kErase && !live) return false;
-      if (n == s->log_cap) {
-        s = FreezeLocked(s, n);
-        n = 0;
-      }
-      OvEntry& e = s->log[n];
-      e.rec = rec;
-      e.seq = ++seq_last_;
-      e.tombstone = kind == WriteKind::kErase;
-      s->log_count.store(n + 1, std::memory_order_release);
+      if (s->log.FullLocked()) s = FreezeLocked(s);
+      const OvEntry e{rec, ++seq_last_, kind == WriteKind::kErase};
+      s->log.Append(e);
       if (e.tombstone) {
         live_count_.fetch_add(-1, std::memory_order_relaxed);
         erases_.fetch_add(1, std::memory_order_relaxed);
@@ -392,7 +387,7 @@ class ConcurrentPointIndex {
         inserts_.fetch_add(1, std::memory_order_relaxed);
       }
       if (config_.rebuild_entries != 0 &&
-          s->frozen.size() + n + 1 >= config_.rebuild_entries) {
+          s->frozen.size() + s->log.CountLocked() >= config_.rebuild_entries) {
         worker_.Request();
       }
       // Reclaimed versions are freed as `lk` drops, outside the lock.
@@ -406,13 +401,10 @@ class ConcurrentPointIndex {
     /// Newest-first: log suffix before frozen.
     int OverlayFind(const State& s, uint32_t n, uint64_t key,
                     hash::Record* out) const {
-      const OvEntry* log = s.log.get();
-      for (uint32_t i = n; i-- > 0;) {  // newest write wins
-        if (log[i].rec.key == key) {
-          if (log[i].tombstone) return 0;
-          *out = log[i].rec;
-          return 1;
-        }
+      if (const OvEntry* e = s.log.FindNewest(n, key)) {
+        if (e->tombstone) return 0;
+        *out = e->rec;
+        return 1;
       }
       const auto it = std::lower_bound(
           s.frozen.begin(), s.frozen.end(), key,
@@ -427,58 +419,44 @@ class ConcurrentPointIndex {
 
     /// Liveness of `key` under the writer mutex (no guard needed: only
     /// writers swap state, and we hold the writer mutex).
-    bool LiveLocked(const State& s, uint32_t n, uint64_t key) const {
+    bool LiveLocked(const State& s, uint64_t key) const {
       hash::Record tmp;
-      const int ov = OverlayFind(s, n, key, &tmp);
+      const int ov = OverlayFind(s, s.log.CountLocked(), key, &tmp);
       if (ov >= 0) return ov == 1;
       return s.base->Find(key) != nullptr;
     }
 
-    /// Newest-wins fold of `s.frozen` + `s.log[0..n)` into one sorted
-    /// entry list. Log order is sequence order, so "last index in the
-    /// group" is the newest write per key.
-    std::vector<OvEntry> FoldedOverlay(const State& s, uint32_t n) const {
-      const OvEntry* log = s.log.get();
-      std::vector<uint32_t> order(n);
-      std::iota(order.begin(), order.end(), 0u);
-      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        if (log[a].rec.key != log[b].rec.key) {
-          return log[a].rec.key < log[b].rec.key;
-        }
-        return a < b;
-      });
+    /// Newest-wins fold of `s.frozen` + the whole log into one sorted
+    /// entry list. A log entry is always newer than the frozen entry it
+    /// shadows. Caller holds the writer mutex.
+    std::vector<OvEntry> FoldedOverlay(const State& s) const {
+      const uint32_t n = s.log.CountLocked();
+      const auto groups = s.log.KeyGroups(n);
       std::vector<OvEntry> out;
       out.reserve(s.frozen.size() + n);
-      size_t oi = 0;
-      auto emit_group = [&] {
-        const uint64_t k = log[order[oi]].rec.key;
-        size_t gend = oi;
-        while (gend < order.size() && log[order[gend]].rec.key == k) ++gend;
-        out.push_back(log[order[gend - 1]]);  // newest per key
-        oi = gend;
-      };
+      size_t gi = 0;
       for (const OvEntry& fe : s.frozen) {
-        while (oi < order.size() && log[order[oi]].rec.key < fe.rec.key) {
-          emit_group();
+        while (gi < groups.size() && groups[gi].key < fe.rec.key) {
+          out.push_back(s.log[groups[gi++].last]);
         }
-        if (oi < order.size() && log[order[oi]].rec.key == fe.rec.key) {
-          emit_group();  // log shadows frozen (always the newer sequence)
+        if (gi < groups.size() && groups[gi].key == fe.rec.key) {
+          out.push_back(s.log[groups[gi++].last]);
         } else {
           out.push_back(fe);
         }
       }
-      while (oi < order.size()) emit_group();
+      while (gi < groups.size()) out.push_back(s.log[groups[gi++].last]);
       return out;
     }
 
     /// Folds the full write log into the frozen overlay and publishes the
     /// result as a new version (same base). Caller holds the writer
     /// mutex. Returns the published version.
-    State* FreezeLocked(State* s, uint32_t n) {
+    State* FreezeLocked(State* s) {
       auto ns = std::make_unique<State>(config_.log_cap);
       ns->base_records = s->base_records;
       ns->base = s->base;
-      ns->frozen = FoldedOverlay(*s, n);
+      ns->frozen = FoldedOverlay(*s);
       freezes_.fetch_add(1, std::memory_order_relaxed);
       return versions_.PublishLocked(std::move(ns), s);
     }
@@ -530,8 +508,7 @@ class ConcurrentPointIndex {
         // in is an immutable snapshot (O(overlay), brief).
         const auto lk = versions_.Lock();
         State* s = versions_.Current();
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        if (n > 0) s = FreezeLocked(s, n);
+        if (s->log.CountLocked() > 0) s = FreezeLocked(s);
         if (s->frozen.empty()) return Status::OK();
         snapshot = s->frozen;
         old_records = s->base_records;
@@ -568,8 +545,7 @@ class ConcurrentPointIndex {
         // snapshot (the new table reflects everything at or before it).
         const auto lk = versions_.Lock();
         State* s = versions_.Current();
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        std::vector<OvEntry> folded = FoldedOverlay(*s, n);
+        std::vector<OvEntry> folded = FoldedOverlay(*s);
         std::vector<OvEntry> rebased;
         rebased.reserve(folded.size());
         for (const OvEntry& e : folded) {

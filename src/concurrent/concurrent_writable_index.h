@@ -6,7 +6,7 @@
 //
 //   State = { base keys + built Base index   (shared with older versions)
 //           , frozen delta                   (sorted runs + rank prefix sums)
-//           , write log                      (append-only, bounded) }
+//           , write log                      (concurrent/write_log.h) }
 //
 // Readers pin an epoch, load the current version (concurrent/versioned.h)
 // with one atomic load, and answer from base + frozen + log-prefix with
@@ -17,10 +17,12 @@
 // serialization point.
 //
 // Writers serialize on one mutex (contention is counted, and sharding —
-// sharded_index.h — is the documented escape hatch), append to the log,
-// and publish the new count with a release store. A full log is *frozen*:
-// folded into the sorted delta, republished as a new version, the old one
-// retired to the epoch manager.
+// sharded_index.h — is the documented escape hatch) and append to the
+// shared write log, which publishes each entry with a release store. A
+// full log is *frozen*: its newest-per-key walk is folded into the sorted
+// delta, republished as a new version, the old one retired to the epoch
+// manager. This class keeps only the entry layout (the liveness delta)
+// and the rank, membership and fold logic over it.
 //
 // Merges run on a background worker (concurrent/worker.h) so no caller
 // ever pays the merge+retrain latency inline:
@@ -57,7 +59,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
@@ -69,6 +70,7 @@
 #include "concurrent/epoch.h"
 #include "concurrent/versioned.h"
 #include "concurrent/worker.h"
+#include "concurrent/write_log.h"
 #include "dynamic/delta_buffer.h"
 #include "dynamic/delta_sections.h"
 #include "dynamic/merge_policy.h"
@@ -275,20 +277,18 @@ class ConcurrentWritableIndex {
     bool tombstone = false;   // Erase vs Insert
     bool live_before = false; // key was live immediately before this write
   };
+  struct LogKey {
+    const key_type& operator()(const LogEntry& e) const { return e.key; }
+  };
 
-  /// One immutable published version. Only `log[log_count..)` and
-  /// `log_count` itself ever change after publication, and only under the
-  /// writer mutex; everything a reader dereferences is behind the
-  /// release-store of `log_count` or was published with the version.
+  /// One immutable published version. Only the log's unpublished tail
+  /// changes after publication (concurrent/write_log.h).
   struct State {
-    explicit State(size_t cap)
-        : log(std::make_unique<LogEntry[]>(cap)), log_cap(cap) {}
+    explicit State(size_t cap) : log(cap) {}
     std::shared_ptr<const std::vector<key_type>> base_keys;
     std::shared_ptr<const Base> base;  // spans *base_keys
     dynamic::DeltaBuffer<key_type> frozen;
-    std::unique_ptr<LogEntry[]> log;
-    size_t log_cap;
-    std::atomic<uint32_t> log_count{0};
+    WriteLog<LogEntry, LogKey> log;
   };
 
   struct Impl {
@@ -317,15 +317,14 @@ class ConcurrentWritableIndex {
       EpochManager::Guard g(versions_.epoch());
       const State* s = versions_.Load();
       if (s == nullptr) return 0;
-      return RawLookupIn(*s, s->log_count.load(std::memory_order_acquire),
-                         key);
+      return RawLookupIn(*s, s->log.published(), key);
     }
 
     index::Approx ApproxPos(const key_type& key) const {
       EpochManager::Guard g(versions_.epoch());
       const State* s = versions_.Load();
       if (s == nullptr) return index::Approx{};
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
+      const uint32_t n = s->log.published();
       const size_t pos = RawLookupIn(*s, n, key);
       return index::Approx::Exact(pos, LiveCountIn(*s, n));
     }
@@ -340,17 +339,17 @@ class ConcurrentWritableIndex {
         for (size_t i = 0; i < m; ++i) out[i] = 0;
         return;
       }
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
+      const uint32_t n = s->log.published();
       // Base ranks through the base's native batch path (the RMI software
       // pipeline), then the delta adjustment per key — with an empty
       // delta this runs at base batch throughput.
       index::LookupBatch(*s->base, keys, out);
       if (s->frozen.empty() && n == 0) return;
-      const LogEntry* log = s->log.get();
+      const std::span<const LogEntry> log = s->log.Prefix(n);
       for (size_t i = 0; i < m; ++i) {
         int64_t adj = s->frozen.RankAdjustBelow(keys[i]);
-        for (uint32_t j = 0; j < n; ++j) {
-          if (log[j].key < keys[i]) adj += log[j].net;
+        for (const LogEntry& e : log) {
+          if (e.key < keys[i]) adj += e.net;
         }
         out[i] = static_cast<size_t>(static_cast<int64_t>(out[i]) + adj);
       }
@@ -363,13 +362,9 @@ class ConcurrentWritableIndex {
       EpochManager::Guard g(versions_.epoch());
       const State* s = versions_.Load();
       if (s == nullptr) return false;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
-      const LogEntry* log = s->log.get();
-      for (uint32_t i = n; i-- > 0;) {  // newest write wins
-        if (log[i].key == key) {
-          st.hits.fetch_add(1, std::memory_order_relaxed);
-          return !log[i].tombstone;
-        }
+      if (const LogEntry* e = s->log.FindNewest(s->log.published(), key)) {
+        st.hits.fetch_add(1, std::memory_order_relaxed);
+        return !e->tombstone;
       }
       if (const auto e = s->frozen.Find(key)) {
         st.hits.fetch_add(1, std::memory_order_relaxed);
@@ -384,21 +379,10 @@ class ConcurrentWritableIndex {
       EpochManager::Guard g(versions_.epoch());
       const State* s = versions_.Load();
       if (s == nullptr) return out;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
-      const LogEntry* log = s->log.get();
       // Newest-wins, sorted view of the log entries with key >= from.
-      std::vector<std::pair<key_type, uint32_t>> lv;
-      lv.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        if (!(log[i].key < from)) lv.emplace_back(log[i].key, i);
-      }
-      std::sort(lv.begin(), lv.end());
-      size_t w = 0;
-      for (size_t i = 0; i < lv.size(); ++i) {
-        if (i + 1 < lv.size() && lv[i + 1].first == lv[i].first) continue;
-        lv[w++] = lv[i];  // last (newest) entry per key survives
-      }
-      lv.resize(w);
+      const auto lv = s->log.KeyGroups(
+          s->log.published(),
+          [&](const LogEntry& e) { return !(e.key < from); });
       // Streamed three-way merge — base array vs frozen delta vs log
       // view, newest source shadowing equal keys (log > frozen > base),
       // tombstones cancelling base keys as the frontier passes them.
@@ -423,14 +407,14 @@ class ConcurrentWritableIndex {
         done = out.size() >= limit;
       };
       s->frozen.VisitFrom(from, [&](const dynamic::DeltaEntry<key_type>& fe) {
-        while (li < lv.size() && lv[li].first < fe.key && !done) {
-          const LogEntry& e = log[lv[li].second];
+        while (li < lv.size() && lv[li].key < fe.key && !done) {
+          const LogEntry& e = s->log[lv[li].last];
           emit(e.key, e.tombstone);
           ++li;
         }
         if (done) return false;
-        if (li < lv.size() && lv[li].first == fe.key) {
-          const LogEntry& e = log[lv[li].second];
+        if (li < lv.size() && lv[li].key == fe.key) {
+          const LogEntry& e = s->log[lv[li].last];
           emit(e.key, e.tombstone);  // log shadows frozen
           ++li;
         } else {
@@ -439,7 +423,7 @@ class ConcurrentWritableIndex {
         return !done;
       });
       while (li < lv.size() && !done) {
-        const LogEntry& e = log[lv[li].second];
+        const LogEntry& e = s->log[lv[li].last];
         emit(e.key, e.tombstone);
         ++li;
       }
@@ -457,7 +441,7 @@ class ConcurrentWritableIndex {
       const State* s = versions_.Load();
       if (s == nullptr) return 0;
       return s->base->SizeBytes() + s->frozen.SizeBytes() +
-             s->log_cap * sizeof(LogEntry);
+             s->log.capacity() * sizeof(LogEntry);
     }
 
     // ---- write path ----
@@ -471,22 +455,16 @@ class ConcurrentWritableIndex {
       // never acked for (safe: replay goes through this same path).
       log_.Append(key, tombstone);
       State* s = versions_.Current();
-      uint32_t n = s->log_count.load(std::memory_order_relaxed);
-      if (n == s->log_cap) {
-        s = FreezeLocked(s, n);
-        n = 0;
-      }
-      const bool live_before = LiveLocked(*s, n, key);
-      LogEntry& e = s->log[n];
-      e.key = key;
-      e.tombstone = tombstone;
-      e.live_before = live_before;
-      e.net = static_cast<int8_t>((tombstone ? 0 : 1) - (live_before ? 1 : 0));
-      s->log_count.store(n + 1, std::memory_order_release);
-      live_count_.fetch_add(e.net, std::memory_order_relaxed);
+      if (s->log.FullLocked()) s = FreezeLocked(s);
+      const bool live_before = LiveLocked(*s, key);
+      const auto net =
+          static_cast<int8_t>((tombstone ? 0 : 1) - (live_before ? 1 : 0));
+      s->log.Append(LogEntry{key, net, tombstone, live_before});
+      live_count_.fetch_add(net, std::memory_order_relaxed);
       (tombstone ? erases_ : inserts_).fetch_add(1, std::memory_order_relaxed);
       ++writes_since_merge_;
-      const size_t delta_entries = s->frozen.entry_count() + n + 1;
+      const size_t delta_entries =
+          s->frozen.entry_count() + s->log.CountLocked();
       if (dynamic::ShouldMerge(config_.policy, delta_entries,
                                s->base_keys->size(), writes_since_merge_,
                                ReadsSinceMerge())) {
@@ -514,10 +492,9 @@ class ConcurrentWritableIndex {
           return Status::FailedPrecondition(
               "ConcurrentWritableIndex: not built");
         }
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
         // Redundancy drop is legal here regardless of a pending rebase:
         // the snapshot pairs the fold with this *same* captured base.
-        folded = FoldedEntries(*s, n, /*drop_redundant=*/true);
+        folded = FoldedEntries(*s, /*drop_redundant=*/true);
         keys = s->base_keys;
         base = s->base;
         // Every record up to the last LSN is reflected in this capture
@@ -625,8 +602,7 @@ class ConcurrentWritableIndex {
       {
         EpochManager::Guard g(versions_.epoch());
         const State* st = versions_.Load();
-        s.log_entries =
-            st ? st->log_count.load(std::memory_order_acquire) : 0;
+        s.log_entries = st ? st->log.published() : 0;
       }
       s.shards = 1;
       return s;
@@ -643,9 +619,8 @@ class ConcurrentWritableIndex {
                        const key_type& key) const {
       int64_t rank = static_cast<int64_t>(s.base->Lookup(key)) +
                      s.frozen.RankAdjustBelow(key);
-      const LogEntry* log = s.log.get();
-      for (uint32_t i = 0; i < n; ++i) {
-        if (log[i].key < key) rank += log[i].net;
+      for (const LogEntry& e : s.log.Prefix(n)) {
+        if (e.key < key) rank += e.net;
       }
       return rank > 0 ? static_cast<size_t>(rank) : 0;
     }
@@ -653,8 +628,7 @@ class ConcurrentWritableIndex {
     size_t LiveCountIn(const State& s, uint32_t n) const {
       int64_t c = static_cast<int64_t>(s.base_keys->size()) +
                   s.frozen.LiveAdjustTotal();
-      const LogEntry* log = s.log.get();
-      for (uint32_t i = 0; i < n; ++i) c += log[i].net;
+      for (const LogEntry& e : s.log.Prefix(n)) c += e.net;
       return c > 0 ? static_cast<size_t>(c) : 0;
     }
 
@@ -665,62 +639,53 @@ class ConcurrentWritableIndex {
 
     /// Liveness of `key` under the writer mutex (no guard needed: only
     /// writers swap state, and we hold the writer mutex).
-    bool LiveLocked(const State& s, uint32_t n, const key_type& key) const {
-      const LogEntry* log = s.log.get();
-      for (uint32_t i = n; i-- > 0;) {
-        if (log[i].key == key) return !log[i].tombstone;
+    bool LiveLocked(const State& s, const key_type& key) const {
+      if (const LogEntry* e = s.log.FindNewest(s.log.CountLocked(), key)) {
+        return !e->tombstone;
       }
       if (const auto e = s.frozen.Find(key)) return !e->tombstone;
       return BaseContainsIn(s, key);
     }
 
-    /// Newest-wins fold of `s.frozen` + `s.log[0..n)` into one sorted
+    /// Newest-wins fold of `s.frozen` + the whole log into one sorted
     /// entry list, `in_base` still relative to s's base. With
     /// `drop_redundant`, entries whose final state matches the base
     /// (re-insert of a base key, erase of an absent key) are dropped —
-    /// valid only when the result is paired with the *same* base.
+    /// valid only when the result is paired with the *same* base. Caller
+    /// holds the writer mutex.
     std::vector<dynamic::DeltaEntry<key_type>> FoldedEntries(
-        const State& s, uint32_t n, bool drop_redundant) const {
-      const LogEntry* log = s.log.get();
-      std::vector<uint32_t> order(n);
-      std::iota(order.begin(), order.end(), 0u);
-      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        if (log[a].key < log[b].key) return true;
-        if (log[b].key < log[a].key) return false;
-        return a < b;
-      });
+        const State& s, bool drop_redundant) const {
+      const uint32_t n = s.log.CountLocked();
+      const auto groups = s.log.KeyGroups(n);
       std::vector<dynamic::DeltaEntry<key_type>> out;
       out.reserve(s.frozen.entry_count() + n);
-      size_t oi = 0;
+      size_t gi = 0;
       auto emit_group = [&](const dynamic::DeltaEntry<key_type>* shadowed) {
-        const key_type& k = log[order[oi]].key;
-        const LogEntry& first = log[order[oi]];
-        size_t gend = oi;
-        while (gend < order.size() && log[order[gend]].key == k) ++gend;
-        const LogEntry& last = log[order[gend - 1]];
+        const auto& g = groups[gi++];
+        const LogEntry& last = s.log[g.last];
         // in_base: the shadowed frozen entry knows it; otherwise the first
         // log write's prior liveness *is* base membership (no frozen or
         // log predecessor existed).
-        const bool in_base =
-            shadowed != nullptr ? shadowed->in_base : first.live_before;
+        const bool in_base = shadowed != nullptr
+                                 ? shadowed->in_base
+                                 : s.log[g.first].live_before;
         if (!drop_redundant || last.tombstone == in_base) {
           out.push_back(
-              dynamic::DeltaEntry<key_type>{k, last.tombstone, in_base});
+              dynamic::DeltaEntry<key_type>{g.key, last.tombstone, in_base});
         }
-        oi = gend;
       };
       s.frozen.VisitAll([&](const dynamic::DeltaEntry<key_type>& fe) {
-        while (oi < order.size() && log[order[oi]].key < fe.key) {
+        while (gi < groups.size() && groups[gi].key < fe.key) {
           emit_group(nullptr);
         }
-        if (oi < order.size() && log[order[oi]].key == fe.key) {
+        if (gi < groups.size() && groups[gi].key == fe.key) {
           emit_group(&fe);
         } else {
           out.push_back(fe);
         }
         return true;
       });
-      while (oi < order.size()) emit_group(nullptr);
+      while (gi < groups.size()) emit_group(nullptr);
       return out;
     }
 
@@ -736,9 +701,9 @@ class ConcurrentWritableIndex {
     /// base right now. With a rebase pending, every entry is kept
     /// (contribution-0 entries are semantically inert) and the publish
     /// step filters against the new base instead.
-    State* FreezeLocked(State* s, uint32_t n) {
+    State* FreezeLocked(State* s) {
       auto folded =
-          FoldedEntries(*s, n, /*drop_redundant=*/!merge_rebase_pending_);
+          FoldedEntries(*s, /*drop_redundant=*/!merge_rebase_pending_);
       auto ns = std::make_unique<State>(config_.log_cap);
       ns->base_keys = s->base_keys;
       ns->base = s->base;
@@ -758,8 +723,7 @@ class ConcurrentWritableIndex {
         // an immutable snapshot, then copy it out (O(delta), brief).
         const auto lk = versions_.Lock();
         State* s = versions_.Current();
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        if (n > 0) s = FreezeLocked(s, n);
+        if (s->log.CountLocked() > 0) s = FreezeLocked(s);
         if (s->frozen.empty()) return Status::OK();
         frozen_copy = s->frozen;
         old_keys = s->base_keys;
@@ -785,8 +749,7 @@ class ConcurrentWritableIndex {
         // build onto the new base, swap the version in, retire the old.
         const auto lk = versions_.Lock();
         State* s = versions_.Current();
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        auto folded = FoldedEntries(*s, n, /*drop_redundant=*/false);
+        auto folded = FoldedEntries(*s, /*drop_redundant=*/false);
         std::vector<dynamic::DeltaEntry<key_type>> rebased;
         rebased.reserve(folded.size());
         for (const dynamic::DeltaEntry<key_type>& e : folded) {
@@ -833,10 +796,9 @@ class ConcurrentWritableIndex {
         EpochManager::Guard g(versions_.epoch());
         const State* st = versions_.Load();
         if (st != nullptr) {
-          const uint32_t n = st->log_count.load(std::memory_order_acquire);
-          s.delta_entries = st->frozen.entry_count() + n;
-          s.delta_bytes =
-              st->frozen.SizeBytes() + st->log_cap * sizeof(LogEntry);
+          s.delta_entries = st->frozen.entry_count() + st->log.published();
+          s.delta_bytes = st->frozen.SizeBytes() +
+                          st->log.capacity() * sizeof(LogEntry);
           s.base_keys = st->base_keys->size();
         }
       }

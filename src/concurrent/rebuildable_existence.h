@@ -14,15 +14,16 @@
 //                                          to an in-flight rebuild, still
 //                                          answered exactly)
 //           , frozen side set             (sorted inserted keys)
-//           , write log                   (append-only, bounded) }
+//           , write log                   (concurrent/write_log.h) }
 //
 // MightContain answers log -> frozen -> pending -> filter under an epoch
 // pin, lock-free; because every side structure is exact, the §5
 // no-false-negative guarantee extends to inserted keys the moment Insert
-// returns. Writers serialize on the writer mutex, append to the log, and
-// fold a full log into the frozen set as a fresh version — the
-// publish/retire protocol of concurrent/versioned.h, shared by every
-// concurrent class.
+// returns. Writers serialize on the writer mutex, append to the shared
+// write log, and merge a full log's key-ordered walk into the frozen set
+// as a fresh version — the publish/retire protocol of
+// concurrent/versioned.h, shared by every concurrent class. This class
+// keeps only the membership logic and the side structures.
 //
 // When the side set outgrows `staleness` (side/corpus ratio), a
 // background worker (concurrent/worker.h) rebuilds the filter:
@@ -63,6 +64,7 @@
 #include "concurrent/epoch.h"
 #include "concurrent/versioned.h"
 #include "concurrent/worker.h"
+#include "concurrent/write_log.h"
 #include "index/concurrent_existence_index.h"
 #include "index/concurrent_writable_index.h"
 #include "index/existence_index.h"
@@ -157,16 +159,17 @@ class RebuildableExistence {
   }
 
  private:
+  struct LogKey {
+    std::string_view operator()(const std::string& k) const { return k; }
+  };
+
   struct State {
-    explicit State(size_t cap)
-        : log(std::make_unique<std::string[]>(cap)), log_cap(cap) {}
+    explicit State(size_t cap) : log(cap) {}
     std::shared_ptr<const Base> filter;  // covers *corpus, no more
     std::shared_ptr<const std::vector<std::string>> corpus;   // sorted
     std::shared_ptr<const std::vector<std::string>> pending;  // sorted
     std::vector<std::string> frozen;                          // sorted
-    std::unique_ptr<std::string[]> log;
-    size_t log_cap;
-    std::atomic<uint32_t> log_count{0};
+    WriteLog<std::string, LogKey> log;  // distinct keys, none elsewhere
   };
 
   struct Impl {
@@ -205,14 +208,8 @@ class RebuildableExistence {
       EpochManager::Guard g(versions_.epoch());
       const State* s = versions_.Load();
       if (s == nullptr) return false;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
-      for (uint32_t i = n; i-- > 0;) {
-        if (s->log[i] == key) {
-          stripe.hits.fetch_add(1, std::memory_order_relaxed);
-          return true;
-        }
-      }
-      if (SortedContains(s->frozen, key) ||
+      if (s->log.FindNewest(s->log.published(), key) != nullptr ||
+          SortedContains(s->frozen, key) ||
           (s->pending != nullptr && SortedContains(*s->pending, key))) {
         stripe.hits.fetch_add(1, std::memory_order_relaxed);
         return true;
@@ -233,10 +230,11 @@ class RebuildableExistence {
       // rebuild input and part of what this structure owns, so it is
       // counted too (stored byte size, computed once per publish).
       size_t bytes = s->filter->SizeBytes() + corpus_bytes_;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
       for (const std::string& k : s->frozen) bytes += k.size();
-      for (uint32_t i = 0; i < n; ++i) bytes += s->log[i].size();
-      bytes += s->log_cap * sizeof(std::string);
+      for (const std::string& k : s->log.Prefix(s->log.published())) {
+        bytes += k.size();
+      }
+      bytes += s->log.capacity() * sizeof(std::string);
       if (s->pending != nullptr) {
         for (const std::string& k : *s->pending) bytes += k.size();
       }
@@ -261,7 +259,7 @@ class RebuildableExistence {
         EpochManager::Guard g(versions_.epoch());
         const State* s = versions_.Load();
         if (s != nullptr) {
-          const uint32_t n = s->log_count.load(std::memory_order_acquire);
+          const uint32_t n = s->log.published();
           cs.log_entries = n;
           cs.delta_entries = s->frozen.size() + n +
                              (s->pending != nullptr ? s->pending->size() : 0);
@@ -277,17 +275,12 @@ class RebuildableExistence {
     bool Insert(std::string_view key) {
       const auto lk = versions_.LockForWrite();
       State* s = versions_.Current();
-      uint32_t n = s->log_count.load(std::memory_order_relaxed);
-      if (ExactMemberLocked(*s, n, key)) return false;
-      if (n == s->log_cap) {
-        s = FreezeLocked(s, n);
-        n = 0;
-      }
-      s->log[n] = std::string(key);
-      s->log_count.store(n + 1, std::memory_order_release);
+      if (ExactMemberLocked(*s, key)) return false;
+      if (s->log.FullLocked()) s = FreezeLocked(s);
+      s->log.Append(std::string(key));
       key_count_.fetch_add(1, std::memory_order_relaxed);
       inserts_.fetch_add(1, std::memory_order_relaxed);
-      const size_t side = s->frozen.size() + n + 1 +
+      const size_t side = s->frozen.size() + s->log.CountLocked() +
                           (s->pending != nullptr ? s->pending->size() : 0);
       if (config_.staleness > 0.0 && side >= config_.min_side_keys &&
           static_cast<double>(side) >=
@@ -310,11 +303,8 @@ class RebuildableExistence {
     /// Exact membership under the writer mutex: corpus, pending, frozen
     /// and log are all exact sets, so Insert's return value and
     /// num_keys() count distinct keys, never filter positives.
-    bool ExactMemberLocked(const State& s, uint32_t n,
-                           std::string_view key) const {
-      for (uint32_t i = n; i-- > 0;) {
-        if (s.log[i] == key) return true;
-      }
+    bool ExactMemberLocked(const State& s, std::string_view key) const {
+      if (s.log.FindNewest(s.log.CountLocked(), key) != nullptr) return true;
       if (SortedContains(s.frozen, key)) return true;
       if (s.pending != nullptr && SortedContains(*s.pending, key)) {
         return true;
@@ -325,16 +315,22 @@ class RebuildableExistence {
     /// Folds the full write log into the frozen side set and publishes
     /// the result as a new version (same filter/corpus/pending). Caller
     /// holds the writer mutex. Returns the published version.
-    State* FreezeLocked(State* s, uint32_t n) {
+    State* FreezeLocked(State* s) {
       auto ns = std::make_unique<State>(config_.log_cap);
       ns->filter = s->filter;
       ns->corpus = s->corpus;
       ns->pending = s->pending;
-      ns->frozen.reserve(s->frozen.size() + n);
-      ns->frozen.insert(ns->frozen.end(), s->frozen.begin(),
-                        s->frozen.end());
-      for (uint32_t i = 0; i < n; ++i) ns->frozen.push_back(s->log[i]);
-      std::sort(ns->frozen.begin(), ns->frozen.end());
+      // Log keys are distinct and absent from frozen: a sorted merge.
+      const auto groups = s->log.KeyGroups(s->log.CountLocked());
+      ns->frozen.reserve(s->frozen.size() + groups.size());
+      auto fi = s->frozen.begin();
+      for (const auto& g : groups) {
+        while (fi != s->frozen.end() && *fi < g.key) {
+          ns->frozen.push_back(*fi++);
+        }
+        ns->frozen.push_back(s->log[g.last]);
+      }
+      ns->frozen.insert(ns->frozen.end(), fi, s->frozen.end());
       freezes_.fetch_add(1, std::memory_order_relaxed);
       return versions_.PublishLocked(std::move(ns), s);
     }
@@ -350,8 +346,7 @@ class RebuildableExistence {
         // exactly (brief writer lock).
         const auto lk = versions_.Lock();
         State* s = versions_.Current();
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        if (n > 0) s = FreezeLocked(s, n);
+        if (s->log.CountLocked() > 0) s = FreezeLocked(s);
         if (s->frozen.empty() && s->pending == nullptr) return Status::OK();
         // Copy, never move: `s` stays published until PublishLocked below
         // and readers scan s->frozen lock-free the whole time.
@@ -407,9 +402,7 @@ class RebuildableExistence {
         }
         // Keep the live log tail: readers of the new version must still
         // see the entries the old version's log holds.
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        for (uint32_t i = 0; i < n; ++i) ns->log[i] = s->log[i];
-        ns->log_count.store(n, std::memory_order_relaxed);
+        ns->log.CopyPrefix(s->log, s->log.CountLocked());
         if (built.ok()) {
           size_t bytes = 0;
           for (const std::string& k : *merged) bytes += k.size();

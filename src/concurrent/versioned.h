@@ -1,7 +1,8 @@
 // Versioned<State> — the published-version core under the concurrent
 // wrappers (ConcurrentWritableIndex, ConcurrentPointIndex,
-// RebuildableExistence). Each wrapper keeps only its State layout, its
-// read/fold logic and its rebuild step.
+// RebuildableExistence). Each State holds one concurrent/write_log.h log;
+// each wrapper keeps only its entry and State layout, its
+// rank/record/membership logic over them and its rebuild step.
 //
 // One immutable State is published at a time through one atomic pointer.
 // Readers bump their read stripe, pin an epoch (concurrent/epoch.h), load

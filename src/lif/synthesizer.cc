@@ -1,10 +1,8 @@
 #include "lif/synthesizer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "bloom/bloom_filter.h"
@@ -12,10 +10,7 @@
 #include "bloom/model_hash_bloom.h"
 #include "btree/readonly_btree.h"
 #include "classifier/ngram_logistic.h"
-#include "common/random.h"
-#include "concurrent/concurrent_point_index.h"
 #include "concurrent/concurrent_writable_index.h"
-#include "concurrent/rebuildable_existence.h"
 #include "concurrent/sharded_index.h"
 #include "data/datasets.h"
 #include "dynamic/delta_range_index.h"
@@ -177,94 +172,6 @@ Result<SynthesizedIndex> SynthesizedIndex::OpenSnapshot(
 // Point-index synthesis (§4): {random, learned-CDF} x slot sweep x family.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// How many of the workload's scheduled inserts the stream executes.
-/// The schedule is budget-guarded (never more inserts than the pool),
-/// and the harness consumes insert slots in prefix order per thread
-/// slice, so it is exactly the scheduled count: the executed set is
-/// always inserts[0..n).
-size_t ExecutedInserts(const std::vector<uint8_t>& is_insert, size_t pool) {
-  size_t n = 0;
-  for (const uint8_t b : is_insert) n += b != 0 ? 1 : 0;
-  return std::min(n, pool);
-}
-
-/// Drives a concurrent point candidate through the shared mixed stream
-/// at `threads`, charging the drain of pending background rebuilds
-/// inside the timed window (a config cannot score well by deferring its
-/// fold CPU past the measurement), then oracle-verifies the quiesced
-/// index against exact map semantics: every surviving record — build
-/// split plus executed inserts — must come back with its exact payload,
-/// and keys outside the set must miss. Internal on any mismatch.
-template <typename Idx>
-Status MeasureConcurrentPointCandidate(Idx& idx,
-                                       const PointReadWriteWorkload& w,
-                                       size_t threads, uint64_t seed,
-                                       CandidateReport* report) {
-  Timer timer;
-  RunPointMixedStreamNs(idx, w, threads);
-  idx.WaitForRebuilds();
-  report->mixed_ns =
-      timer.ElapsedNanos() /
-      static_cast<double>(std::max<size_t>(w.is_insert.size(), 1));
-  report->threads = threads;
-  report->size_bytes = idx.SizeBytes();
-  report->stage2 = idx.Stats().num_slots;
-  report->max_abs_err =
-      static_cast<int64_t>(idx.ConcurrentStats().delta_entries);
-  report->lookup_ns = MeasureNsPerOp(w.lookups, 1, [&](uint64_t q) {
-    hash::Record rec;
-    return idx.Find(q, &rec) ? 1 : 0;
-  });
-  const size_t executed = ExecutedInserts(w.is_insert, w.inserts.size());
-  auto expect_record = [&](const hash::Record& want) {
-    hash::Record got{};
-    if (!idx.Find(want.key, &got) || got.payload != want.payload) {
-      return Status::Internal(
-          "concurrent point oracle: wrong or missing record for key " +
-          std::to_string(want.key));
-    }
-    return Status::OK();
-  };
-  for (const hash::Record& r : w.base) LI_RETURN_IF_ERROR(expect_record(r));
-  for (size_t i = 0; i < executed; ++i) {
-    LI_RETURN_IF_ERROR(expect_record(w.inserts[i]));
-  }
-  for (size_t i = executed; i < w.inserts.size(); ++i) {
-    hash::Record got{};
-    if (idx.Find(w.inserts[i].key, &got)) {
-      return Status::Internal(
-          "concurrent point oracle: unexecuted insert visible");
-    }
-  }
-  // Random absent probes (base and inserts are sorted by key, so
-  // membership is two binary searches).
-  auto present = [&](uint64_t k) {
-    const auto key_lt = [](const hash::Record& r, uint64_t key) {
-      return r.key < key;
-    };
-    const auto bi = std::lower_bound(w.base.begin(), w.base.end(), k, key_lt);
-    if (bi != w.base.end() && bi->key == k) return true;
-    const auto ii =
-        std::lower_bound(w.inserts.begin(), w.inserts.end(), k, key_lt);
-    return ii != w.inserts.end() && ii->key == k;
-  };
-  Xorshift128Plus rng(seed ^ 0x7F4A7C15ULL);
-  for (int probes = 0; probes < 256;) {
-    const uint64_t k = rng.Next();
-    if (present(k)) continue;
-    ++probes;
-    hash::Record got{};
-    if (idx.Find(k, &got)) {
-      return Status::Internal("concurrent point oracle: absent key found");
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status SynthesizedPointIndex::Synthesize(std::span<const hash::Record> records,
                                          const PointSynthesisSpec& spec) {
   // A failed call leaves the empty handle, never the previous winner.
@@ -391,57 +298,6 @@ Status SynthesizedPointIndex::Synthesize(std::span<const hash::Record> records,
     }
   }
 
-  // ---- concurrent axis (report-only): the thread-safe write path over
-  // the same families, qualified under the shared mixed stream. A
-  // concurrent wrapper's Find is value-copy-out (a base pointer would
-  // dangle once a rebuild retires its version), so it cannot erase into
-  // AnyPointIndex; candidates report next to the static grid without
-  // competing for the winner.
-  if (spec.try_concurrent) {
-    const PointReadWriteWorkload cw = MakePointReadWriteWorkload(
-        records, spec.eval_ops, spec.insert_ratio, spec.eval_queries,
-        spec.seed);
-    if (spec.try_chained) {
-      using Conc = concurrent::ConcurrentPointIndex<hash::ChainedHashMap>;
-      Conc::Config cfg;
-      cfg.base.num_slots = std::max<size_t>(1, cw.base.size());
-      cfg.base.hash.kind = hash::HashKind::kRandom;
-      cfg.base.hash.seed = spec.seed;
-      cfg.log_cap = spec.log_cap;
-      cfg.rebuild_entries = spec.rebuild_entries;
-      Conc idx;
-      LI_RETURN_IF_ERROR(
-          idx.Build(std::span<const hash::Record>(cw.base), cfg));
-      CandidateReport report;
-      report.description = "concurrent-point[chained / random] x" +
-                           std::to_string(spec.eval_threads) + "T";
-      LI_RETURN_IF_ERROR(MeasureConcurrentPointCandidate(
-          idx, cw, spec.eval_threads, spec.seed, &report));
-      report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-      reports_.push_back(report);
-    }
-    if (spec.try_cuckoo) {
-      using Conc =
-          concurrent::ConcurrentPointIndex<hash::CuckooMap<hash::Record>>;
-      Conc::Config cfg;
-      cfg.base.load_factor = std::min(spec.cuckoo_load_factor, 0.95);
-      cfg.base.careful = true;
-      cfg.base.seed = spec.seed | 1;
-      cfg.log_cap = spec.log_cap;
-      cfg.rebuild_entries = spec.rebuild_entries;
-      Conc idx;
-      LI_RETURN_IF_ERROR(
-          idx.Build(std::span<const hash::Record>(cw.base), cfg));
-      CandidateReport report;
-      report.description = "concurrent-point[cuckoo / careful] x" +
-                           std::to_string(spec.eval_threads) + "T";
-      LI_RETURN_IF_ERROR(MeasureConcurrentPointCandidate(
-          idx, cw, spec.eval_threads, spec.seed, &report));
-      report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-      reports_.push_back(report);
-    }
-  }
-
   if (!found) {
     return Status::NotFound(
         "SynthesizePoint: no candidate fits the size budget");
@@ -486,42 +342,6 @@ struct OwnedModelHashBloom {
 
 static_assert(index::ExistenceIndex<OwnedLearnedBloom>);
 static_assert(index::ExistenceIndex<OwnedModelHashBloom>);
-
-/// Drives a concurrent existence candidate through the shared mixed
-/// stream at `threads` (rebuild drain charged inside the timed window),
-/// then verifies the quiesced filter keeps the §5 guarantee online: no
-/// false negative over the corpus or any executed insert. Internal on
-/// any false negative.
-template <typename F>
-Status MeasureConcurrentExistenceCandidate(
-    F& f, const ExistenceReadWriteWorkload& w, size_t threads,
-    CandidateReport* report) {
-  Timer timer;
-  RunExistenceMixedStreamNs(f, w, threads);
-  f.WaitForRebuilds();
-  report->mixed_ns =
-      timer.ElapsedNanos() /
-      static_cast<double>(std::max<size_t>(w.is_insert.size(), 1));
-  report->threads = threads;
-  report->size_bytes = f.SizeBytes();
-  report->lookup_ns = MeasureNsPerOp(w.lookups, 1, [&](const std::string& q) {
-    return f.MightContain(std::string_view(q));
-  });
-  const size_t executed = ExecutedInserts(w.is_insert, w.inserts.size());
-  for (const std::string& k : w.base) {
-    if (!f.MightContain(std::string_view(k))) {
-      return Status::Internal(
-          "concurrent existence oracle: false negative on corpus key");
-    }
-  }
-  for (size_t i = 0; i < executed; ++i) {
-    if (!f.MightContain(std::string_view(w.inserts[i]))) {
-      return Status::Internal(
-          "concurrent existence oracle: false negative on inserted key");
-    }
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -638,80 +458,6 @@ Status SynthesizedExistenceIndex::Synthesize(
         report.model_ns = model_ns;
         measure(cand, &report);
         consider(std::move(cand), report);
-      }
-    }
-  }
-
-  // ---- concurrent axis (report-only): insertable filters over the
-  // same constructions, qualified under the shared mixed stream. A
-  // filter with a background rebuild worker inside is not
-  // interchangeable with the static winner, so candidates report next
-  // to the grid without competing for it.
-  if (spec.try_concurrent) {
-    const ExistenceReadWriteWorkload cw = MakeExistenceReadWriteWorkload(
-        keys, eval_non_keys, spec.eval_ops, spec.insert_ratio, spec.eval_ops,
-        spec.seed);
-    if (spec.try_plain_bloom) {
-      using ConcBloom = concurrent::RebuildableExistence<bloom::BloomFilter>;
-      ConcBloom::Config cfg;
-      cfg.rebuild = concurrent::PlainBloomRebuilder(spec.target_fpr);
-      cfg.staleness = spec.rebuild_staleness;
-      cfg.log_cap = spec.side_log_cap;
-      ConcBloom f;
-      LI_RETURN_IF_ERROR(
-          f.Build(std::span<const std::string>(cw.base), cfg));
-      CandidateReport report;
-      report.description = "concurrent-existence[plain bloom] x" +
-                           std::to_string(spec.eval_threads) + "T";
-      LI_RETURN_IF_ERROR(MeasureConcurrentExistenceCandidate(
-          f, cw, spec.eval_threads, &report));
-      report.fpr = f.MeasuredFpr(probes);
-      report.valid_fpr = f.MeasuredFpr(valid_non_keys);
-      report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-      reports_.push_back(report);
-    }
-    if (spec.try_learned && !spec.ngram_buckets.empty() &&
-        !train_non_keys.empty()) {
-      using ConcLearned = concurrent::RebuildableExistence<OwnedLearnedBloom>;
-      classifier::NgramConfig ncfg;
-      ncfg.num_buckets = spec.ngram_buckets.front();
-      ncfg.seed = spec.seed;
-      auto model = std::make_shared<classifier::NgramLogistic>();
-      if (model->Train(cw.base, train_non_keys, ncfg).ok()) {
-        // Every background rebuild re-calibrates the threshold and
-        // re-forms the overflow Bloom against the validation split, so
-        // the rebuilder owns a copy of it (the model is fixed: §5
-        // retrains offline, not per insert batch).
-        auto valid = std::make_shared<std::vector<std::string>>(
-            valid_non_keys.begin(), valid_non_keys.end());
-        const double target = spec.target_fpr;
-        ConcLearned::Config cfg;
-        cfg.rebuild = [model, valid, target](
-                          std::span<const std::string> ks,
-                          OwnedLearnedBloom* out) -> Status {
-          out->model = model;
-          return out->filter.Build(out->model.get(), ks,
-                                   std::span<const std::string>(*valid),
-                                   target);
-        };
-        cfg.staleness = spec.rebuild_staleness;
-        cfg.log_cap = spec.side_log_cap;
-        ConcLearned f;
-        LI_RETURN_IF_ERROR(
-            f.Build(std::span<const std::string>(cw.base), cfg));
-        CandidateReport report;
-        report.description =
-            "concurrent-existence[ngram(" +
-            std::to_string(spec.ngram_buckets.front()) +
-            ") + overflow bloom] x" + std::to_string(spec.eval_threads) +
-            "T";
-        report.stage2 = spec.ngram_buckets.front();
-        LI_RETURN_IF_ERROR(MeasureConcurrentExistenceCandidate(
-            f, cw, spec.eval_threads, &report));
-        report.fpr = f.MeasuredFpr(probes);
-        report.valid_fpr = f.MeasuredFpr(valid_non_keys);
-        report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-        reports_.push_back(report);
       }
     }
   }

@@ -138,25 +138,6 @@ struct PointSynthesisSpec {
   size_t cdf_leaf_models = 0;  // 0 = auto (min(100k, n/10), §4.2)
   size_t size_budget_bytes = std::numeric_limits<size_t>::max();
   size_t eval_queries = 20'000;
-  /// Concurrent candidate axis (opt in when the index will serve
-  /// multi-threaded point traffic): wrap the chained and cuckoo families
-  /// in concurrent::ConcurrentPointIndex and qualify them under the
-  /// shared mixed insert/find stream driven by `eval_threads` threads,
-  /// finishing with an exact-map oracle check over the quiesced index
-  /// (every surviving record findable with its exact payload, absent
-  /// keys miss). Their mixed_ns is aggregate wall-time per op.
-  /// Concurrent candidates are report-only: value-semantics Find cannot
-  /// erase into AnyPointIndex, so they never compete for the
-  /// single-threaded winner.
-  bool try_concurrent = false;
-  size_t eval_threads = 4;
-  /// Fraction of concurrent-stream ops that insert held-out records.
-  double insert_ratio = 0.10;
-  size_t eval_ops = 40'000;
-  /// Write-log capacity and overlay rebuild trigger for the concurrent
-  /// wrappers (see ConcurrentPointIndex::Config).
-  size_t log_cap = 1024;
-  size_t rebuild_entries = 4096;
   uint64_t seed = 99;
 };
 
@@ -200,23 +181,6 @@ struct ExistenceSynthesisSpec {
   /// Model-hash bitmap sizes, in bits per key.
   std::vector<double> bitmap_bits_per_key = {0.3, 0.6};
   size_t size_budget_bytes = std::numeric_limits<size_t>::max();
-  /// Concurrent candidate axis: wrap the plain and learned
-  /// constructions in concurrent::RebuildableExistence and qualify them
-  /// under a mixed insert/probe stream driven by `eval_threads`
-  /// threads, verifying zero false negatives over corpus + executed
-  /// inserts once quiesced (the §5 guarantee extended to online keys).
-  /// Report-only next to the static grid: a filter with a background
-  /// rebuild worker inside is not interchangeable with the static
-  /// winner, however small.
-  bool try_concurrent = false;
-  size_t eval_threads = 4;
-  /// Fraction of concurrent-stream ops that insert held-out keys.
-  double insert_ratio = 0.10;
-  size_t eval_ops = 40'000;
-  /// Side-set write-log capacity for the concurrent wrappers.
-  size_t side_log_cap = 1024;
-  /// Side-set/corpus ratio that triggers a background filter rebuild.
-  double rebuild_staleness = 0.05;
   uint64_t seed = 99;
 };
 

@@ -72,9 +72,14 @@ struct Leaf {
   /// so the lookup window stage is two adds and two clamps per key.
   int32_t sweep_lo = 0;
   int32_t sweep_hi = 1;
+  /// Explicit zeroed tail padding, so snapshots carry no stale bytes.
+  int32_t reserved = 0;
 };
 static_assert(std::is_trivially_copyable_v<Leaf>,
               "Leaf is persisted verbatim in snapshot leaf sections");
+static_assert(sizeof(Leaf) == sizeof(models::LinearModel) +
+                                  5 * sizeof(int32_t) + sizeof(float),
+              "Leaf must have no implicit padding");
 
 template <typename Key, typename TopModel>
 class RmiIndex {

@@ -10,7 +10,8 @@
 // The same CheckContract core drives concurrent::RebuildableExistence —
 // the insertable wrapper must pass the read-only matrix verbatim, keep
 // inserted keys visible through background filter rebuilds (the
-// no-false-negative invariant extends to the side set).
+// no-false-negative invariant extends to the side set), over a plain
+// Bloom and over a learned rebuilder alike.
 //
 // The family edges ride at the bottom: never-built and empty-built
 // filters answer as the empty set (a leg the suite long lacked — it hid
@@ -21,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -205,6 +207,37 @@ TEST_F(ExistenceConformanceTest, RebuildableBloomInsertsSurviveRebuilds) {
   // Inserts keep landing after a rebuild cycle.
   ASSERT_TRUE(filter.Insert("http://post.rebuild/0"));
   EXPECT_TRUE(filter.MightContain("http://post.rebuild/0"));
+}
+
+// Over a learned rebuilder every rebuild re-calibrates the classifier
+// threshold and re-forms the overflow Bloom over corpus + side set; keys
+// held out of the build and inserted online must never turn into false
+// negatives across those rebuilds.
+TEST_F(ExistenceConformanceTest, RebuildableLearnedInsertsSurviveRebuilds) {
+  using Learned = bloom::LearnedBloomFilter<classifier::NgramLogistic>;
+  const std::span<const std::string> keys(corpus_->keys);
+  const size_t split = keys.size() * 9 / 10;
+  concurrent::RebuildableExistence<Learned> filter;
+  concurrent::RebuildableExistence<Learned>::Config config;
+  config.rebuild = [](std::span<const std::string> ks, Learned* out) {
+    return out->Build(model_, ks, *valid_neg_, 0.01);
+  };
+  config.staleness = 0.02;  // 2% of the build split arms a rebuild
+  config.min_side_keys = 256;
+  config.log_cap = 64;  // force side-log freezes between rebuilds
+  ASSERT_TRUE(filter.Build(keys.first(split), config).ok());
+  for (const std::string& k : keys.subspan(split)) {
+    ASSERT_TRUE(filter.Insert(k)) << k;
+    ASSERT_TRUE(filter.MightContain(k)) << k;
+  }
+  filter.RequestRebuild();  // fold whatever the automatic rebuilds left
+  filter.WaitForRebuilds();
+  ASSERT_TRUE(filter.last_rebuild_status().ok())
+      << filter.last_rebuild_status().message();
+  EXPECT_GE(filter.ConcurrentStats().background_merges, 1u);
+  EXPECT_EQ(filter.num_keys(), keys.size());
+  // Zero false negatives over the build split plus every insert.
+  CheckContract(filter, 0.05);
 }
 
 TEST_F(ExistenceConformanceTest, RebuildableBloomAutoRebuildsAtStaleness) {

@@ -282,51 +282,6 @@ TEST(PointSynthesizerTest, EmptyRecordsRejected) {
   EXPECT_FALSE(index.Synthesize({}, PointSynthesisSpec{}).ok());
 }
 
-TEST(PointSynthesizerTest, ConcurrentAxisQualifiesWrappersAtFourThreads) {
-  // The concurrent axis wraps the chained and cuckoo families in
-  // ConcurrentPointIndex and qualifies them under a 4-thread mixed
-  // stream. MeasureConcurrentPointCandidate finishes with an exact-map
-  // oracle pass over the quiesced index and returns an error Status on
-  // any disagreement, so Synthesize().ok() here *is* the oracle gate.
-  const auto keys = data::GenMaps(30'000, 74);
-  std::vector<hash::Record> records;
-  records.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    records.push_back({keys[i], i, 0});
-  }
-  PointSynthesisSpec spec;
-  spec.slot_percents = {100};
-  spec.try_learned_hash = false;
-  spec.try_inplace = false;
-  spec.try_concurrent = true;
-  spec.eval_threads = 4;
-  spec.eval_queries = 2000;
-  spec.eval_ops = 8'000;
-  spec.log_cap = 256;
-  spec.rebuild_entries = 512;
-  SynthesizedPointIndex index;
-  ASSERT_TRUE(index.Synthesize(records, spec).ok());
-  size_t concurrent_reports = 0;
-  for (const auto& r : index.reports()) {
-    if (r.description.rfind("concurrent-point", 0) == 0) {
-      ++concurrent_reports;
-      EXPECT_EQ(r.threads, 4u) << r.description;
-      EXPECT_GT(r.mixed_ns, 0.0) << r.description;
-      EXPECT_GT(r.size_bytes, 0u) << r.description;
-    } else {
-      EXPECT_EQ(r.threads, 1u) << r.description;
-    }
-  }
-  EXPECT_EQ(concurrent_reports, 2u) << "chained + cuckoo wrappers";
-  // Report-only: the erased winner still serves single-threaded
-  // pointer-returning probes from the static grid.
-  for (size_t i = 0; i < keys.size(); i += 37) {
-    const hash::Record* r = index.Find(keys[i]);
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->key, keys[i]);
-  }
-}
-
 class ExistenceSynthesizerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -386,47 +341,6 @@ TEST_F(ExistenceSynthesizerTest, LearnedCandidateBeatsPlainBloomOnUrls) {
   }
   ASSERT_GT(plain_bytes, 0u);
   EXPECT_LT(index.SizeBytes(), plain_bytes);
-}
-
-TEST_F(ExistenceSynthesizerTest, ConcurrentAxisQualifiesFiltersAtFourThreads) {
-  // Concurrent axis: plain and learned constructions wrapped in
-  // RebuildableExistence, driven by 4 threads of mixed insert/probe
-  // traffic. MeasureConcurrentExistenceCandidate verifies zero false
-  // negatives over corpus + executed inserts once quiesced and fails
-  // Synthesize on a violation, so a passing status carries the §5
-  // guarantee extended to online keys.
-  ExistenceSynthesisSpec spec;
-  spec.target_fpr = 0.01;
-  spec.ngram_buckets = {1024};
-  spec.try_model_hash = false;
-  spec.try_concurrent = true;
-  spec.eval_threads = 4;
-  spec.eval_ops = 6'000;
-  spec.side_log_cap = 256;
-  spec.rebuild_staleness = 0.02;
-  SynthesizedExistenceIndex index;
-  ASSERT_TRUE(index.Synthesize(corpus_.keys, train_neg_, valid_neg_,
-                               test_neg_, spec)
-                  .ok());
-  size_t concurrent_reports = 0;
-  for (const auto& r : index.reports()) {
-    if (r.description.rfind("concurrent-existence", 0) == 0) {
-      ++concurrent_reports;
-      EXPECT_EQ(r.threads, 4u) << r.description;
-      EXPECT_GT(r.mixed_ns, 0.0) << r.description;
-      if (r.description.find("plain bloom") != std::string::npos) {
-        // Rebuilds re-target the plain filter at 1%; the measured FPR
-        // over the held-out negatives must stay near that calibration.
-        EXPECT_LT(r.fpr, 0.05) << r.description;
-      }
-    }
-  }
-  EXPECT_GE(concurrent_reports, 2u) << "plain bloom + learned wrappers";
-  // Report-only: the static winner keeps the zero-false-negative
-  // invariant untouched by the concurrent sweep.
-  for (const auto& k : corpus_.keys) {
-    ASSERT_TRUE(index.MightContain(k)) << k;
-  }
 }
 
 TEST_F(ExistenceSynthesizerTest, BadInputsRejected) {

@@ -185,6 +185,44 @@ TEST(RmiRoundTripTest, CorruptSnapshotRejectedCleanly) {
   std::remove(path.c_str());
 }
 
+std::string FileBytes(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  for (size_t got; (got = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+    bytes.append(buf, got);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+// The leaf table is written verbatim, so any padding byte inside a Leaf
+// would carry whatever the allocation held: two builds over the same keys
+// must write byte-identical snapshots.
+TEST(RmiRoundTripTest, SameKeysWriteIdenticalBytes) {
+  const auto keys = data::GenLognormal(30'000, 43);
+  rmi::RmiConfig config;
+  config.num_leaf_models = 300;
+  std::string bytes[2];
+  for (int run = 0; run < 2; ++run) {
+    {
+      // Leave non-zero garbage behind for the next build's allocations.
+      std::vector<unsigned char> dirt(config.num_leaf_models * 64,
+                                      static_cast<unsigned char>(0xA5 + run));
+      ASSERT_EQ(dirt.back(), static_cast<unsigned char>(0xA5 + run));
+    }
+    LinearRmi built;
+    ASSERT_TRUE(built.Build(keys, config).ok());
+    const std::string path = TmpSnap("determinism" + std::to_string(run));
+    ASSERT_TRUE(built.WriteSnapshot(path).ok());
+    bytes[run] = FileBytes(path);
+    std::remove(path.c_str());
+  }
+  ASSERT_FALSE(bytes[0].empty());
+  EXPECT_TRUE(bytes[0] == bytes[1]) << "snapshot bytes differ between builds";
+}
+
 // ---- Bloom ----
 
 TEST(BloomRoundTripTest, BitmapIdenticalAfterReopen) {
